@@ -773,7 +773,8 @@ let check_cmd =
           ~doc:
             "With $(b,--replay): replay the scenario through the \
              machine-level differential (scalar System.access vs batched \
-             System.run_packed) instead of the cache-level oracle diff. \
+             System.run_packed_requests, counters and request-window \
+             latencies) instead of the cache-level oracle diff. \
              Repros the soak reports as caught by the machine batched-replay \
              driver only diverge under this flag.")
   in
@@ -806,8 +807,8 @@ let check_cmd =
       & info [ "event" ]
           ~doc:
             "With $(b,--replay): replay the scenario through the \
-             event-core count differential (blocking in-order \
-             System.run_packed vs the MSHR/DRAM event core, all functional \
+             event-core count differential (blocking in-order scalar \
+             System.access vs the MSHR/DRAM event core, all functional \
              counts compared) instead of the cache-level oracle diff. \
              Repros the soak reports as caught by the event-core driver \
              only diverge under this flag.")
@@ -1231,12 +1232,18 @@ let replay_cmd =
       let cache = Cache.Sassoc.config ~line_size:16 ~size_bytes:size ~ways () in
       let system = Machine.System.create (Machine.System.config cache) in
       let stats =
-        if events then
-          let events =
-            Machine.Event.config ~mlp ~dram:(Machine.Dram.config ~banks ()) ()
-          in
-          Machine.System.run_packed_events system ~events packed
-        else Machine.System.run_packed system packed
+        (* a corrupt kind byte in a mapped trace is rejected before the
+           replay starts *)
+        try
+          if events then
+            let events =
+              Machine.Event.config ~mlp ~dram:(Machine.Dram.config ~banks ()) ()
+            in
+            Machine.System.run_packed_events system ~events packed
+          else Machine.System.run_packed system packed
+        with Invalid_argument msg ->
+          Format.eprintf "%s: %s@." file msg;
+          exit 1
       in
       `Ok (Format.fprintf ppf "%a@." Machine.Run_stats.pp stats)
     end

@@ -5,7 +5,10 @@
     selection to it (Section 2.1). Masks support up to 62 columns, which far
     exceeds any realistic way count. *)
 
-type t
+type t = private int
+(** The bit representation ({!bits}) is visible so the replacement hot path
+    can read a mask with a free coercion, [(mask :> int)], instead of a
+    call; masks are still built only through this module. *)
 
 val max_columns : int
 

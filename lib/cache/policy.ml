@@ -155,11 +155,11 @@ let on_fill t ~set ~way =
   | Random _ -> ()
 
 let victim t ~set ~allowed ~valid =
-  let allowed = Bitmask.bits allowed land t.way_mask in
+  let allowed = (allowed : Bitmask.t :> int) land t.way_mask in
   if allowed = 0 then invalid_arg "Policy.victim: empty column mask";
   (* An invalid (empty) allowed way always wins over evicting live data;
      the lowest such way, matching the original front-to-back list scan. *)
-  let empties = allowed land lnot (Bitmask.bits valid) in
+  let empties = allowed land lnot (valid : Bitmask.t :> int) in
   if empties <> 0 then lowest_bit empties else t.select t ~set ~cand:allowed
 
 (* --- hot-path state (for Sassoc's batched replay loop) ------------------ *)

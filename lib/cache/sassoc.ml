@@ -45,6 +45,7 @@ type t = {
   line_shift : int;  (* log2 line_size: addr -> line without dividing *)
   set_mask : int;  (* sets - 1 *)
   tag_shift : int;  (* log2 sets: line -> tag without recomputing log2 *)
+  full : Bitmask.t;  (* every way *)
   tags : int array;  (* sets * ways; [invalid_tag] when the slot is empty *)
   vmask : int array;  (* per-set bit mask of valid ways *)
   pred : int array;
@@ -57,6 +58,12 @@ type t = {
   stats : Stats.t;
   seen_lines : (int, unit) Hashtbl.t;  (* for cold-miss detection *)
   shadow : Lru_set.t option;  (* fully-associative same-capacity LRU *)
+  mutable evicted_line : int;
+      (* line displaced by the most recent install; -1 when it filled an
+         empty way *)
+  mutable writeback_line : int;
+      (* line written back by the most recent install; -1 when the
+         displaced line was clean or there was none *)
 }
 
 let log2 n =
@@ -66,11 +73,13 @@ let log2 n =
 let create cfg =
   validate_config cfg;
   let n = cfg.sets * cfg.ways in
+  let full = Bitmask.full ~n:cfg.ways in
   {
     cfg;
     line_shift = log2 cfg.line_size;
     set_mask = cfg.sets - 1;
     tag_shift = log2 cfg.sets;
+    full;
     tags = Array.make n invalid_tag;
     vmask = Array.make cfg.sets 0;
     pred = Array.make cfg.sets 0;
@@ -79,6 +88,8 @@ let create cfg =
     stats = Stats.create ~ways:cfg.ways;
     seen_lines = (if cfg.classify then Hashtbl.create 4096 else Hashtbl.create 1);
     shadow = (if cfg.classify then Some (Lru_set.create ~capacity:n) else None);
+    evicted_line = -1;
+    writeback_line = -1;
   }
 
 let geometry t = t.cfg
@@ -93,19 +104,23 @@ let line_of_slot t ~set ~way =
   let tag = t.tags.(slot t ~set ~way) in
   (tag lsl t.tag_shift) lor set
 
+(* The way in [base, base + ways) holding [tag], scanning from [w]; -1 when
+   none does. A top-level function with int-annotated arguments: a local
+   closure here would be allocated on every scan, and an unannotated [=]
+   would compile to the polymorphic [caml_equal]. *)
+let rec scan_ways (tags : int array) ~base ~ways (tag : int) w =
+  if w >= ways then -1
+  else if Array.unsafe_get tags (base + w) = tag then w
+  else scan_ways tags ~base ~ways tag (w + 1)
+
 (* -1 when the line is absent; allocation-free (no option). The predicted
    way is probed before the scan (see [pred]). *)
 let find_way_idx t ~set ~tag =
-  let base = set * t.cfg.ways in
-  let p = t.pred.(set) in
-  if t.tags.(base + p) = tag then p
-  else
-    let rec loop w =
-      if w >= t.cfg.ways then -1
-      else if t.tags.(base + w) = tag then w
-      else loop (w + 1)
-    in
-    loop 0
+  let ways = t.cfg.ways in
+  let base = set * ways in
+  let p = Array.unsafe_get t.pred set in
+  if Array.unsafe_get t.tags (base + p) = tag then p
+  else scan_ways t.tags ~base ~ways tag 0
 
 let find_way t ~set ~tag =
   match find_way_idx t ~set ~tag with -1 -> None | w -> Some w
@@ -132,56 +147,90 @@ let update_shadow t line =
   | Some shadow -> ignore (Lru_set.touch shadow line)
 
 (* The single choke point for mask validation: the replacement hardware must
-   always receive at least one permissible column, so an effective mask that
-   selects no way of this cache is a programming error, not a no-op. *)
-let effective_mask t ~who mask =
-  let full = Bitmask.full ~n:t.cfg.ways in
-  let mask = match mask with None -> full | Some m -> Bitmask.inter m full in
-  if Bitmask.is_empty mask then
-    invalid_arg (Printf.sprintf "Sassoc.%s: empty column mask" who);
-  mask
+   always receive at least one permissible column, so a mask that selects
+   no way of this cache is a programming error, not a no-op. The mask is
+   passed on as given: [Policy.victim] intersects it with the cache's ways
+   itself. *)
+let check_mask t ~who mask =
+  if (mask : Bitmask.t :> int) land (t.full :> int) = 0 then
+    invalid_arg (Printf.sprintf "Sassoc.%s: empty column mask" who)
+
+let effective_mask t ~who = function
+  | None -> t.full
+  | Some mask ->
+      check_mask t ~who mask;
+      mask
+
+(* Evict-and-fill of [tag] into [set], for a demand miss or a prefetch:
+   choose the victim among [mask]'s ways, count its eviction and writeback,
+   record the displaced and written-back lines, and install the tag (dirty
+   when [dirty]). Returns the way. *)
+let install t ~mask ~set ~tag ~dirty =
+  let vm = Array.unsafe_get t.vmask set in
+  let way = Policy.victim t.policy ~set ~allowed:mask ~valid:(Bitmask.of_bits vm) in
+  let s = (set * t.cfg.ways) + way in
+  if vm land (1 lsl way) <> 0 then begin
+    let line = (Array.unsafe_get t.tags s lsl t.tag_shift) lor set in
+    t.stats.evictions <- t.stats.evictions + 1;
+    t.evicted_line <- line;
+    if Bytes.unsafe_get t.dirty s = '\001' then begin
+      t.stats.writebacks <- t.stats.writebacks + 1;
+      t.writeback_line <- line
+    end
+    else t.writeback_line <- -1
+  end
+  else begin
+    t.evicted_line <- -1;
+    t.writeback_line <- -1
+  end;
+  Array.unsafe_set t.tags s tag;
+  Array.unsafe_set t.vmask set (vm lor (1 lsl way));
+  Array.unsafe_set t.pred set way;
+  Bytes.unsafe_set t.dirty s (if dirty then '\001' else '\000');
+  Policy.on_fill t.policy ~set ~way;
+  t.stats.fills_per_way.(way) <- t.stats.fills_per_way.(way) + 1;
+  way
+
+(* One demand reference under a validated mask: the way that hit, or
+   [-1 - way] for the way a miss filled. *)
+let reference t ~mask ~kind addr =
+  let line = addr lsr t.line_shift in
+  let set = line land t.set_mask in
+  let tag = line lsr t.tag_shift in
+  t.stats.accesses <- t.stats.accesses + 1;
+  let way = find_way_idx t ~set ~tag in
+  if way >= 0 then begin
+    t.stats.hits <- t.stats.hits + 1;
+    Array.unsafe_set t.pred set way;
+    Policy.on_hit t.policy ~set ~way;
+    (match kind with
+    | Memtrace.Access.Write ->
+        Bytes.unsafe_set t.dirty ((set * t.cfg.ways) + way) '\001'
+    | Memtrace.Access.Read | Memtrace.Access.Ifetch -> ());
+    update_shadow t line;
+    way
+  end
+  else begin
+    t.stats.misses <- t.stats.misses + 1;
+    classify_miss t line;
+    update_shadow t line;
+    let dirty =
+      match kind with
+      | Memtrace.Access.Write -> true
+      | Memtrace.Access.Read | Memtrace.Access.Ifetch -> false
+    in
+    -1 - install t ~mask ~set ~tag ~dirty
+  end
 
 let access t ?mask ~kind addr =
   let mask = effective_mask t ~who:"access" mask in
-  let line = line_of_addr t addr in
-  let set = set_of_line t line in
-  let tag = tag_of_line t line in
-  t.stats.accesses <- t.stats.accesses + 1;
-  match find_way_idx t ~set ~tag with
-  | -1 ->
-      t.stats.misses <- t.stats.misses + 1;
-      classify_miss t line;
-      update_shadow t line;
-      (* Peek the victim's line before installing over the slot. *)
-      let way =
-        Policy.victim t.policy ~set ~allowed:mask
-          ~valid:(Bitmask.of_bits t.vmask.(set))
-      in
-      let s = slot t ~set ~way in
+  match reference t ~mask ~kind addr with
+  | way when way >= 0 -> Hit { way }
+  | code ->
       let evicted_line =
-        if valid_way t ~set ~way then begin
-          t.stats.evictions <- t.stats.evictions + 1;
-          if Bytes.get t.dirty s = '\001' then
-            t.stats.writebacks <- t.stats.writebacks + 1;
-          Some (line_of_slot t ~set ~way)
-        end
-        else None
+        if t.evicted_line >= 0 then Some t.evicted_line else None
       in
-      t.tags.(s) <- tag;
-      t.vmask.(set) <- t.vmask.(set) lor (1 lsl way);
-      t.pred.(set) <- way;
-      Bytes.set t.dirty s (if kind = Memtrace.Access.Write then '\001' else '\000');
-      Policy.on_fill t.policy ~set ~way;
-      t.stats.fills_per_way.(way) <- t.stats.fills_per_way.(way) + 1;
-      Miss { way; evicted_line }
-  | way ->
-      t.stats.hits <- t.stats.hits + 1;
-      t.pred.(set) <- way;
-      Policy.on_hit t.policy ~set ~way;
-      if kind = Memtrace.Access.Write then
-        Bytes.set t.dirty (slot t ~set ~way) '\001';
-      update_shadow t line;
-      Hit { way }
+      Miss { way = -1 - code; evicted_line }
 
 let access_record t ?mask (a : Memtrace.Access.t) =
   access t ?mask ~kind:a.kind a.addr
@@ -191,48 +240,20 @@ let access_record t ?mask (a : Memtrace.Access.t) =
    callers that only need hit/miss/writeback — the machine's batched replay
    loop — allocate nothing. State and statistics updates are identical to
    [access], a property the machine-level differential soak checks. *)
+let coded t ~who ~mask ~kind addr =
+  check_mask t ~who mask;
+  if reference t ~mask ~kind addr >= 0 then 0
+  else if t.writeback_line >= 0 then 3
+  else 1
+
+let access_masked t ~mask ~kind addr = coded t ~who:"access_masked" ~mask ~kind addr
+
 let access_coded t ?mask ~kind addr =
-  let mask = effective_mask t ~who:"access_coded" mask in
-  let line = line_of_addr t addr in
-  let set = set_of_line t line in
-  let tag = tag_of_line t line in
-  t.stats.accesses <- t.stats.accesses + 1;
-  match find_way_idx t ~set ~tag with
-  | -1 ->
-      t.stats.misses <- t.stats.misses + 1;
-      classify_miss t line;
-      update_shadow t line;
-      let way =
-        Policy.victim t.policy ~set ~allowed:mask
-          ~valid:(Bitmask.of_bits t.vmask.(set))
-      in
-      let s = slot t ~set ~way in
-      let wrote_back =
-        if valid_way t ~set ~way then begin
-          t.stats.evictions <- t.stats.evictions + 1;
-          if Bytes.get t.dirty s = '\001' then begin
-            t.stats.writebacks <- t.stats.writebacks + 1;
-            true
-          end
-          else false
-        end
-        else false
-      in
-      t.tags.(s) <- tag;
-      t.vmask.(set) <- t.vmask.(set) lor (1 lsl way);
-      t.pred.(set) <- way;
-      Bytes.set t.dirty s (if kind = Memtrace.Access.Write then '\001' else '\000');
-      Policy.on_fill t.policy ~set ~way;
-      t.stats.fills_per_way.(way) <- t.stats.fills_per_way.(way) + 1;
-      if wrote_back then 3 else 1
-  | way ->
-      t.stats.hits <- t.stats.hits + 1;
-      t.pred.(set) <- way;
-      Policy.on_hit t.policy ~set ~way;
-      if kind = Memtrace.Access.Write then
-        Bytes.set t.dirty (slot t ~set ~way) '\001';
-      update_shadow t line;
-      0
+  match mask with
+  | None -> coded t ~who:"access_coded" ~mask:t.full ~kind addr
+  | Some mask -> coded t ~who:"access_coded" ~mask ~kind addr
+
+let writeback_line t = t.writeback_line
 
 (* The batched hot path: replays a whole trace under one mask without
    constructing per-access [result] values (or any other heap block on the
@@ -272,13 +293,7 @@ let trace_loop_lru t ~mask ~(arr : Memtrace.Access.t array) ~stamps =
     let pw = Array.unsafe_get pred set in
     let way =
       if Array.unsafe_get tags (base + pw) = tag then pw
-      else
-        let rec scan w =
-          if w = ways then -1
-          else if Array.unsafe_get tags (base + w) = tag then w
-          else scan (w + 1)
-        in
-        scan 0
+      else scan_ways tags ~base ~ways tag 0
     in
     if way >= 0 then begin
       if way <> pw then Array.unsafe_set pred set way;
@@ -335,13 +350,7 @@ let trace_loop_generic t ~mask ~(arr : Memtrace.Access.t array) =
     let pw = Array.unsafe_get pred set in
     let way =
       if Array.unsafe_get tags (base + pw) = tag then pw
-      else
-        let rec scan w =
-          if w = ways then -1
-          else if Array.unsafe_get tags (base + w) = tag then w
-          else scan (w + 1)
-        in
-        scan 0
+      else scan_ways tags ~base ~ways tag 0
     in
     if way >= 0 then begin
       if way <> pw then Array.unsafe_set pred set way;
@@ -388,36 +397,17 @@ let access_trace t ?mask trace =
         (fun a -> ignore (access t ~mask ~kind:a.Memtrace.Access.kind a.addr))
         trace
 
-let fill t ?mask addr =
-  let mask = effective_mask t ~who:"fill" mask in
+let fill t ~mask addr =
+  check_mask t ~who:"fill" mask;
   let line = line_of_addr t addr in
   let set = set_of_line t line in
   let tag = tag_of_line t line in
-  match find_way_idx t ~set ~tag with
-  | -1 ->
-      let way =
-        Policy.victim t.policy ~set ~allowed:mask
-          ~valid:(Bitmask.of_bits t.vmask.(set))
-      in
-      let s = slot t ~set ~way in
-      let evicted_line =
-        if valid_way t ~set ~way then begin
-          t.stats.evictions <- t.stats.evictions + 1;
-          if Bytes.get t.dirty s = '\001' then
-            t.stats.writebacks <- t.stats.writebacks + 1;
-          Some (line_of_slot t ~set ~way)
-        end
-        else None
-      in
-      t.tags.(s) <- tag;
-      t.vmask.(set) <- t.vmask.(set) lor (1 lsl way);
-      t.pred.(set) <- way;
-      Bytes.set t.dirty s '\000';
-      Policy.on_fill t.policy ~set ~way;
-      t.stats.fills_per_way.(way) <- t.stats.fills_per_way.(way) + 1;
-      update_shadow t line;
-      Miss { way; evicted_line }
-  | way -> Hit { way }
+  find_way_idx t ~set ~tag < 0
+  && begin
+       ignore (install t ~mask ~set ~tag ~dirty:false);
+       update_shadow t line;
+       true
+     end
 
 let probe t addr =
   let line = line_of_addr t addr in

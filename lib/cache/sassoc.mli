@@ -52,8 +52,20 @@ val access_coded : t -> ?mask:Bitmask.t -> kind:Memtrace.Access.kind -> int -> i
     back as two bits instead of a [result] block, so the caller allocates
     nothing: bit 0 is set on a miss, bit 1 when a dirty victim was written
     back ([0] hit, [1] clean miss, [3] miss with writeback). The victim way
-    and evicted line are not reported; callers that need them use
-    {!access}. *)
+    and evicted line are not reported; a written-back line is, through
+    {!writeback_line}. *)
+
+val access_masked : t -> mask:Bitmask.t -> kind:Memtrace.Access.kind -> int -> int
+(** {!access_coded} with the mask passed unboxed: a caller that always has
+    a mask passes it without allocating the [Some] an optional argument
+    needs. *)
+
+val writeback_line : t -> int
+(** The line address written back by the most recent miss of
+    {!access_coded}, {!access_masked}, {!access} or {!fill},
+    when that miss wrote one back (bit 1 of the coded outcome); [-1] when
+    it did not. The machine's event-driven timing prices the writeback to
+    this line's DRAM bank. *)
 
 val access_trace : t -> ?mask:Bitmask.t -> Memtrace.Trace.t -> unit
 (** Replay a whole trace of demand accesses under one mask. Equivalent to
@@ -63,12 +75,14 @@ val access_trace : t -> ?mask:Bitmask.t -> Memtrace.Trace.t -> unit
     performs no heap allocation at all. This is the simulation hot path;
     callers that need per-access results keep using {!access}. *)
 
-val fill : t -> ?mask:Bitmask.t -> int -> result
+val fill : t -> mask:Bitmask.t -> int -> bool
 (** Install the line holding the address as a prefetch would: victim
     selection and eviction behave exactly like {!access}, but the operation
     is not counted as a demand access, hit or miss (evictions and
     writebacks it causes are still counted). A line already present is
-    left untouched ([Hit]). *)
+    left untouched. Returns whether the line was installed.
+    Allocation-free; raises [Invalid_argument] on an empty effective
+    mask. *)
 
 val probe : t -> int -> int option
 (** Side-effect-free lookup; returns the way holding the address if any. *)

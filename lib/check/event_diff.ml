@@ -71,12 +71,13 @@ let run_scenario ?bug (sc : Scenario.t) =
   let cfg =
     System.config ~page_size:sc.page_size ~tlb_entries:sc.tlb_entries sc.cache
   in
-  (* Two identical machines: [inorder] replays batches through the blocking
-     [System.run_packed] path (the differential oracle); [event] replays
-     the same batches through [System.run_packed_events]. Reconfigurations
-     land on both sides in scenario order; after every batch all functional
-     counts must agree — timing is free to differ, so [cycles] is the one
-     field never compared. *)
+  (* Two identical machines: [inorder] replays batches one access at a
+     time through the scalar [System.access] (the differential oracle,
+     independent of the batched loop under test); [event] replays the same
+     batches through [System.run_packed_events]. Reconfigurations land on
+     both sides in scenario order; after every batch all functional counts
+     must agree — timing is free to differ, so [cycles] is the one field
+     never compared. *)
   let inorder = System.create cfg in
   let event = System.create cfg in
   let events = event_config sc in
@@ -87,8 +88,9 @@ let run_scenario ?bug (sc : Scenario.t) =
     match !pending with
     | [] -> ()
     | evs ->
-        let packed = Memtrace.Packed.of_list (List.rev evs) in
-        ignore (System.run_packed inorder packed);
+        let evs = List.rev evs in
+        List.iter (fun a -> ignore (System.access inorder a : int)) evs;
+        let packed = Memtrace.Packed.of_list evs in
         ignore
           (System.run_packed_events ~inject_merge_bug event ~events packed);
         pending := [];

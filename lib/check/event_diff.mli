@@ -1,8 +1,9 @@
 (** Differential check for the event-driven timing core.
 
     Replays a {!Scenario} through two identical {!Machine.System}s: one
-    through the blocking in-order batched path ([run_packed], the oracle)
-    and one through the event core ([run_packed_events], MSHRs + banked
+    access at a time through the blocking scalar path ([System.access],
+    the oracle, which shares no code with the batched replay loop) and in
+    batches through the event core ([run_packed_events], MSHRs + banked
     DRAM), with reconfiguration events applied to both in scenario order.
     After every batch and at the end, every functional count —
     hit/miss/writeback/eviction, three-C classes, fills per way, TLB and

@@ -51,20 +51,49 @@ let compare_totals (r : Run_stats.t) (b : Run_stats.t) =
   pair "prefetches" r.prefetches b.prefetches;
   compare_stats r.cache b.cache
 
+(* Request windows over the accesses of one batch, derived from the
+   scenario alone — the soak must not draw RNG here (stream isolation):
+   windows of [len] accesses separated by [skip] accesses outside every
+   window, starting at the batch's first access. *)
+let window_shape (sc : Scenario.t) =
+  (1 + (sc.tlb_entries mod 5), sc.cache.Sassoc.ways mod 3)
+
+(* Whether batch index [i] opens or closes a window. *)
+let window_first (len, skip) i = i mod (len + skip) = 0
+let window_last (len, _) ~first i = i = first + len - 1
+
+let windows_within (len, skip) n =
+  let rec go start acc =
+    if start + len > n then Array.of_list (List.rev acc)
+    else go (start + len + skip) ((start, start + len) :: acc)
+  in
+  go 0 []
+
+let pp_samples l = String.concat ";" (List.map string_of_int l)
+
 let run_scenario ?bug (sc : Scenario.t) =
   let cfg =
     System.config ~page_size:sc.page_size ~tlb_entries:sc.tlb_entries sc.cache
   in
   (* Two identical machines: [scalar] replays each access the moment it
      appears ([System.access]); [batched] queues runs of accesses and
-     replays them through [System.run_packed] at the next reconfiguration
-     point. Reconfigurations land on both sides in scenario order, so the
-     two machines see exactly the same history — every counter, the cache
-     contents and the TLB-dependent reconfiguration costs must match. *)
+     replays them through [System.run_packed_requests] at the next
+     reconfiguration point, with request windows cut from the batch by
+     [window_shape]. Reconfigurations land on both sides in scenario
+     order, so the two machines see exactly the same history — every
+     counter, the cache contents and the TLB-dependent reconfiguration
+     costs must match, and so must every window's latency: the scalar side
+     reads its cycle count when a window opens and when it closes. *)
   let scalar = System.create cfg in
   let batched = System.create cfg in
+  let shape = window_shape sc in
   let pending = ref [] in
+  let batch_len = ref 0 in
+  (* the open window's first index and opening cycle count *)
+  let open_window = ref None in
+  let latencies = ref [] in
   let step = ref 0 in
+  let cycles sys = (System.total sys).Run_stats.cycles in
   let flush () =
     match !pending with
     | [] -> ()
@@ -78,15 +107,38 @@ let run_scenario ?bug (sc : Scenario.t) =
             List.map (fun (a : Access.t) -> { a with gap = 0 }) evs
           else evs
         in
-        ignore (System.run_packed batched (Memtrace.Packed.of_list evs));
+        let requests = windows_within shape (List.length evs) in
+        let stats =
+          System.run_packed_requests batched (Memtrace.Packed.of_list evs)
+            ~requests
+        in
+        let expected = List.rev !latencies in
         pending := [];
-        compare_totals (System.total scalar) (System.total batched)
+        batch_len := 0;
+        open_window := None;
+        latencies := [];
+        compare_totals (System.total scalar) (System.total batched);
+        if
+          not
+            (Machine.Latency.equal stats.Run_stats.requests
+               (Machine.Latency.of_samples (Array.of_list expected)))
+        then
+          failf "request latencies differ: scalar [%s], batched %a"
+            (pp_samples expected) Machine.Latency.pp stats.Run_stats.requests
   in
   let apply event =
     match (event : Scenario.event) with
     | Scenario.Access a ->
+        let i = !batch_len in
+        if window_first shape i then open_window := Some (i, cycles scalar);
         ignore (System.access scalar a);
-        pending := a :: !pending
+        (match !open_window with
+        | Some (first, opened) when window_last shape ~first i ->
+            latencies := (cycles scalar - opened) :: !latencies;
+            open_window := None
+        | Some _ | None -> ());
+        pending := a :: !pending;
+        incr batch_len
     | Scenario.Retint { base; size; tint } ->
         flush ();
         let tint = Vm.Tint.make tint in

@@ -28,7 +28,7 @@ type bug =
           bits. Proves the fast-path routing can catch batching bugs. *)
   | Machine_fast_path
       (** planted in {!Machine_diff}'s batched side, not here: the packed
-          batch fed to [Machine.System.run_packed] zeroes every access's
+          batch fed to [Machine.System.run_packed_requests] zeroes every access's
           [gap], corrupting instruction and cycle accounting. Proves the
           machine-level soak can catch batched-replay bugs. *)
   | Mrc
@@ -84,7 +84,8 @@ val access :
     [Invalid_argument] on an empty effective mask. *)
 
 val fill : t -> ?mask:Cache.Bitmask.t -> int -> Cache.Sassoc.result
-(** Same contract as {!Cache.Sassoc.fill}. *)
+(** Same behaviour as {!Cache.Sassoc.fill}, reported as a [result]: [Hit]
+    when the line was already present. *)
 
 val probe : t -> int -> int option
 val way_of_line : t -> int -> int option

@@ -67,13 +67,6 @@ let create (timing : Timing.t) cfg =
     queue_stalls = 0;
   }
 
-type outcome = {
-  start : int;
-  finish : int;
-  bank : int;
-  row_hit : bool;
-}
-
 let request t ~now ~addr =
   if addr < 0 then invalid_arg "Dram.request: negative address";
   let row = addr / t.cfg.row_bytes in
@@ -107,7 +100,7 @@ let request t ~now ~addr =
   t.requests <- t.requests + 1;
   if row_hit then t.row_hits <- t.row_hits + 1
   else t.row_conflicts <- t.row_conflicts + 1;
-  { start; finish; bank; row_hit }
+  finish
 
 type stats = {
   total : int;

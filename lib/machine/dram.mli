@@ -30,16 +30,11 @@ val create : Timing.t -> config -> t
 (** Raises [Invalid_argument] when the timing's row-hit latency is not
     positive or exceeds its row-conflict latency. *)
 
-type outcome = {
-  start : int;  (** when the bank begins servicing (>= issue time) *)
-  finish : int;  (** completion: [start] + row-hit or row-conflict latency *)
-  bank : int;
-  row_hit : bool;
-}
-
-val request : t -> now:int -> addr:int -> outcome
-(** Issue one line fetch (or writeback) at time [now]. Raises
-    [Invalid_argument] on a negative address. *)
+val request : t -> now:int -> addr:int -> int
+(** Issue one line fetch (or writeback) at time [now] and return its
+    completion time: when the bank begins servicing it (no earlier than
+    [now]) plus the row-hit or row-conflict latency. Allocation-free.
+    Raises [Invalid_argument] on a negative address. *)
 
 type stats = {
   total : int;

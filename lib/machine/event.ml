@@ -48,14 +48,15 @@ let retire_at t time =
 
 (* A hit pays the probe; if the line's fill is still in flight the request
    merges into the MSHR entry and retires when the fill lands (a delayed
-   hit) without stalling the core. *)
+   hit) without stalling the core. A merge shows as a step in [merges]. *)
 let hit t ~line =
   t.now <- t.now + t.timing.Timing.hit_cycles;
-  match Mshr.in_flight t.mshr ~now:t.now ~line with
-  | Some fill_done ->
-      Mshr.note_merge t.mshr;
-      (retire_at t fill_done, true)
-  | None -> (retire_at t t.now, false)
+  let fill_done = Mshr.in_flight t.mshr ~now:t.now ~line in
+  if fill_done >= 0 then begin
+    Mshr.note_merge t.mshr;
+    retire_at t fill_done
+  end
+  else retire_at t t.now
 
 (* A miss pays the probe, waits for an MSHR (stalling the core when all are
    busy), then fills from L2 or through DRAM — writing the dirty victim
@@ -63,24 +64,23 @@ let hit t ~line =
    hardware controller FSM this mirrors). *)
 let miss t ~line ~addr ~victim ~l2_hit =
   t.now <- t.now + t.timing.Timing.hit_cycles;
-  let slot, ready = Mshr.acquire t.mshr ~now:t.now in
+  let ready = Mshr.acquire t.mshr ~now:t.now in
   if ready > t.now then t.now <- ready;
   let fill_done =
     if l2_hit then ready + t.timing.Timing.l2_hit_cycles
     else
       let fetch_at =
-        match victim with
-        | Some victim_addr -> (Dram.request t.dram ~now:ready ~addr:victim_addr).Dram.finish
-        | None -> ready
+        if victim >= 0 then Dram.request t.dram ~now:ready ~addr:victim
+        else ready
       in
-      (Dram.request t.dram ~now:fetch_at ~addr).Dram.finish
+      Dram.request t.dram ~now:fetch_at ~addr
   in
-  Mshr.commit t.mshr ~slot ~line ~fill_done;
+  Mshr.commit t.mshr ~line ~fill_done;
   retire_at t fill_done
 
 (* Prefetches consume DRAM bandwidth (they occupy a bank and a queue slot)
    but never block the core or retire a request. *)
-let prefetch t ~addr = ignore (Dram.request t.dram ~now:t.now ~addr)
+let prefetch t ~addr = ignore (Dram.request t.dram ~now:t.now ~addr : int)
 
 let finish t = max t.now t.drain
 let merges t = Mshr.merges t.mshr

@@ -10,7 +10,8 @@
     the fill overlapping younger requests. Functional cache state is the
     caller's, updated in program order, so the engine prices time and can
     never change hit/miss/writeback/eviction counts: that is the invariant
-    {!Check.Event_diff} pins against the blocking in-order oracle. *)
+    {!Check.Event_diff} pins against the blocking in-order oracle. Every
+    per-request entry point returns plain ints and allocates nothing. *)
 
 type config = {
   mlp : int;  (** outstanding misses (MSHR entries) *)
@@ -32,15 +33,17 @@ val elapse : t -> int -> unit
 (** Advance the core clock by fully-blocking cycles (gaps, TLB walks,
     scratchpad and uncached accesses). *)
 
-val hit : t -> line:int -> int * bool
-(** Price one functional hit on [line]; returns [(retire, merged)] where
-    [merged] marks a delayed hit folded into an in-flight fill. *)
+val hit : t -> line:int -> int
+(** Price one functional hit on [line] and return its retire time. A
+    delayed hit — one folded into an in-flight fill — retires when the fill
+    lands and counts one step of {!merges}. *)
 
 val miss :
-  t -> line:int -> addr:int -> victim:int option -> l2_hit:bool -> int
+  t -> line:int -> addr:int -> victim:int -> l2_hit:bool -> int
 (** Price one functional miss filling [line] at physical [addr]; [victim]
-    is the dirty victim's address to write back first (if any), [l2_hit]
-    fills from the L2 instead of DRAM. Returns the retire (fill) time. *)
+    is the dirty victim's address to write back first, or [-1] for none;
+    [l2_hit] fills from the L2 instead of DRAM. Returns the retire (fill)
+    time. *)
 
 val prefetch : t -> addr:int -> unit
 (** Price an overlapped prefetch fetch: occupies DRAM bandwidth, never

@@ -141,8 +141,44 @@ module Builder = struct
 
   let length t = t.len
 
+  (* Ascending LSD radix sort, a byte per pass over the bytes the largest
+     sample uses ([push] keeps samples non-negative). A request replay
+     builds one distribution over every request, and the stdlib sort calls
+     a comparison closure per step; [of_samples] keeps the stdlib sort and
+     is the reference [build] is tested against. *)
+  let radix_sort a =
+    let n = Array.length a in
+    let top = Array.fold_left Int.max 0 a in
+    let count = Array.make 256 0 in
+    let src = ref a and dst = ref (Array.make n 0) in
+    let shift = ref 0 in
+    while !shift < Sys.int_size && top lsr !shift > 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 256 0;
+      for i = 0 to n - 1 do
+        let b = (s.(i) lsr sh) land 255 in
+        count.(b) <- count.(b) + 1
+      done;
+      let sum = ref 0 in
+      for b = 0 to 255 do
+        let c = count.(b) in
+        count.(b) <- !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to n - 1 do
+        let v = s.(i) in
+        let b = (v lsr sh) land 255 in
+        d.(count.(b)) <- v;
+        count.(b) <- count.(b) + 1
+      done;
+      src := d;
+      dst := s;
+      shift := sh + 8
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+
   let build t : dist =
     let sorted = Array.sub t.samples 0 t.len in
-    Array.sort compare sorted;
+    radix_sort sorted;
     of_sorted_samples sorted
 end

@@ -8,6 +8,8 @@ type t = {
   size : int;
   lines : int array; (* line being filled by each slot; min_int = never used *)
   fill_done : int array; (* completion time of each slot's fill *)
+  mutable latest : int; (* latest committed fill completion *)
+  mutable acquired : int; (* slot handed out by the last [acquire] *)
   mutable allocations : int;
   mutable merges : int;
   mutable stalls : int;
@@ -19,6 +21,8 @@ let create ~size =
     size;
     lines = Array.make size min_int;
     fill_done = Array.make size min_int;
+    latest = min_int;
+    acquired = -1;
     allocations = 0;
     merges = 0;
     stalls = 0;
@@ -29,15 +33,17 @@ let size t = t.size
 (* A line is in flight when some slot is filling it and the fill has not
    yet completed at [now]. Later commits for the same line overwrite older
    (already completed) entries only by slot reuse, so scanning for any
-   not-yet-done entry is exact. *)
+   not-yet-done entry is exact. When the latest committed fill is done by
+   [now], every fill is, and the scan is skipped. *)
+let rec scan_in_flight t ~now ~line i =
+  if i >= t.size then -1
+  else if
+    Array.unsafe_get t.lines i = line && Array.unsafe_get t.fill_done i > now
+  then Array.unsafe_get t.fill_done i
+  else scan_in_flight t ~now ~line (i + 1)
+
 let in_flight t ~now ~line =
-  let rec go i =
-    if i >= t.size then None
-    else if t.lines.(i) = line && t.fill_done.(i) > now then
-      Some t.fill_done.(i)
-    else go (i + 1)
-  in
-  go 0
+  if t.latest <= now then -1 else scan_in_flight t ~now ~line 0
 
 let note_merge t = t.merges <- t.merges + 1
 
@@ -54,14 +60,18 @@ let acquire t ~now =
     end
   done;
   t.allocations <- t.allocations + 1;
+  t.acquired <- !best;
   let ready = max now !best_done in
   if ready > now then t.stalls <- t.stalls + 1;
-  (!best, ready)
+  ready
 
-let commit t ~slot ~line ~fill_done =
-  if slot < 0 || slot >= t.size then invalid_arg "Mshr.commit: bad slot";
+let commit t ~line ~fill_done =
+  let slot = t.acquired in
+  if slot < 0 then invalid_arg "Mshr.commit: no slot acquired";
+  t.acquired <- -1;
   t.lines.(slot) <- line;
-  t.fill_done.(slot) <- fill_done
+  t.fill_done.(slot) <- fill_done;
+  if fill_done > t.latest then t.latest <- fill_done
 
 let allocations t = t.allocations
 let merges t = t.merges

@@ -17,20 +17,24 @@ val create : size:int -> t
 
 val size : t -> int
 
-val in_flight : t -> now:int -> line:int -> int option
-(** [Some fill_done] when some slot is filling [line] and the fill
-    completes strictly after [now]. *)
+val in_flight : t -> now:int -> line:int -> int
+(** The completion time of the fill of [line] when some slot is filling it
+    and the fill completes strictly after [now]; [-1] otherwise.
+    Allocation-free, and O(1) when every committed fill is done by
+    [now]. *)
 
 val note_merge : t -> unit
 (** Count one delayed hit merged into an in-flight fill. *)
 
-val acquire : t -> now:int -> int * int
-(** [(slot, ready)]: the slot to fill through and the earliest time it is
-    available — [ready = now] when a slot is free, otherwise the earliest
+val acquire : t -> now:int -> int
+(** Reserve the slot to fill through and return the earliest time it is
+    available — [now] when a slot is free, otherwise the earliest
     completion among busy slots (counted as a stall). Follow with
     {!commit} once the fill completion time is known. *)
 
-val commit : t -> slot:int -> line:int -> fill_done:int -> unit
+val commit : t -> line:int -> fill_done:int -> unit
+(** Record the fill through the slot reserved by the last {!acquire}.
+    Raises [Invalid_argument] when no slot is reserved. *)
 
 val allocations : t -> int
 val merges : t -> int

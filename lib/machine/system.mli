@@ -90,21 +90,34 @@ val charge_cycles : t -> int -> unit
 
 val access : t -> Memtrace.Access.t -> int
 (** Execute one access; returns the cycles it consumed (including [gap]
-    instruction cycles). *)
+    instruction cycles). This is the scalar reference path: it shares no
+    code with the batched replay loop beyond the cache and TLB themselves,
+    and the machine-level differentials compare that loop against it. *)
 
 val run : t -> Memtrace.Trace.t -> Run_stats.t
 (** Replay a trace one access at a time (the scalar reference path) and
     return statistics for {e this run only}. *)
 
+(** {2 Packed replays}
+
+    Every packed replay below is one pass of the same batched loop. It
+    keeps every counter in local ints, resolves each page's (mask, tint)
+    once and memoizes it, so the TLB and tint table are consulted only on
+    page crossings, and allocates nothing per access. Two timing hooks
+    price the accesses — the blocking arithmetic of {!access}, or the
+    event core ({!Event}) — and an optional observer records per-request
+    latencies over request windows. Scratchpad and uncached regions,
+    streaming tints, prefetch tags, L2 and frame maps all take the loop
+    under either hook.
+
+    Each raises [Invalid_argument] naming the first access whose kind byte
+    is not 0–2 (possible in a corrupt mapped file), before it changes any
+    state. *)
+
 val run_trace : t -> Memtrace.Trace.t -> Run_stats.t
 (** Like {!run} — byte-identical {!Run_stats}, pinned by the machine-level
-    differential soak — but replayed through the batched loop: the trace is
-    packed into columnar form ({!Memtrace.Packed}) and replayed with the
-    current page's (mask, tint) resolution memoized, so the TLB and tint
-    table are only consulted on page crossings and all counters stay in
-    local ints. Accesses the memoization cannot cover exactly — pages
-    overlapping scratchpad/uncached regions, streaming tints, outstanding
-    prefetch tags — fall back to the scalar path per access. This is the
+    differential soak — but packed into columnar form
+    ({!Memtrace.Packed}) and replayed through the batched loop. This is the
     replay entry point the experiments use. *)
 
 val run_packed : t -> Memtrace.Packed.t -> Run_stats.t
@@ -130,10 +143,11 @@ val run_packed_events :
     and the run's [cycles] are the drained event clock. Every functional
     count — hits, misses, writebacks, evictions, TLB and L2 counters,
     prefetches — is byte-identical to {!run_packed} on the same trace (the
-    event-core differential soak pins this); the event-only fields
-    ([mshr_merges], [mshr_stalls], [dram_row_hits], [dram_row_conflicts])
-    report the engine's behaviour. [inject_merge_bug] plants the
-    [--inject-bug event] MSHR-merge mutation for harness self-tests. *)
+    event-core differential soak pins this against {!access}); the
+    event-only fields ([mshr_merges], [mshr_stalls], [dram_row_hits],
+    [dram_row_conflicts]) report the engine's behaviour. [inject_merge_bug]
+    plants the [--inject-bug event] MSHR-merge mutation for harness
+    self-tests. *)
 
 val run_packed_requests_events :
   t -> events:Event.config -> Memtrace.Packed.t ->

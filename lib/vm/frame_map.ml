@@ -17,10 +17,11 @@ let create ~page_size =
 
 let page_size t = t.page_size
 
+(* Allocation-free (no [find_opt] [Some]) and exception-free (a raise costs
+   more than a second probe). *)
 let frame_of t page =
-  match Hashtbl.find_opt t.page_to_frame page with
-  | Some frame -> frame
-  | None -> page
+  if Hashtbl.mem t.page_to_frame page then Hashtbl.find t.page_to_frame page
+  else page
 
 let translate t addr =
   let page = addr / t.page_size in

@@ -31,10 +31,13 @@ let set_tint_region t ~base ~size tint =
   done;
   last - first + 1
 
+(* Allocation-free (no [find_opt] [Some]) and exception-free (a raise costs
+   more than a second probe), with no hashing at all while nothing is
+   tinted: the TLB walks the page table on every miss. *)
 let tint_of_page t page =
-  match Hashtbl.find_opt t.entries page with
-  | Some tint -> tint
-  | None -> t.default_tint
+  if Hashtbl.length t.entries > 0 && Hashtbl.mem t.entries page then
+    Hashtbl.find t.entries page
+  else t.default_tint
 
 let tint_of_addr t addr = tint_of_page t (page_of_addr t addr)
 

@@ -26,13 +26,14 @@ val lookup_page_quick : t -> int -> Tint.t
 (** Exactly {!lookup_page} — same counters, same LRU update, same
     page-table walk on a miss — but allocation-free: only the tint is
     returned, and the outcome is observable as a delta on {!misses}. The
-    machine's batched replay loop uses this on page crossings. *)
+    machine's batched replay loop uses this on page crossings;
+    {!lookup_page} wraps it. Pages are non-negative. *)
 
-val last_evicted : t -> int
-(** The page evicted by the most recent {!lookup_page_quick} miss, or
-    [min_int] when that lookup hit or evicted nothing. The batched replay
-    uses this to invalidate its page memo without allocating an option per
-    lookup. *)
+val last_lookup : t -> int
+(** What the most recent lookup did, in {!Cache.Lru_set.touch}'s terms:
+    {!Cache.Lru_set.hit}, {!Cache.Lru_set.inserted} for a miss into a free
+    entry, or else the page the miss evicted. The batched replay reads the
+    miss and invalidates its page memo from this one int. *)
 
 val note_hits : t -> int -> unit
 (** Credit [n] TLB hits without performing lookups. Only sound for lookups

@@ -77,13 +77,15 @@ let prop_mask_union_count =
 
 let test_lru_set_basic () =
   let s = Lru_set.create ~capacity:3 in
-  check_bool "miss 1" true (Lru_set.touch s 1 = `Miss None);
-  check_bool "miss 2" true (Lru_set.touch s 2 = `Miss None);
-  check_bool "hit 1" true (Lru_set.touch s 1 = `Hit);
-  check_bool "miss 3" true (Lru_set.touch s 3 = `Miss None);
+  check_int "miss 1" Lru_set.inserted (Lru_set.touch s 1);
+  check_int "miss 2" Lru_set.inserted (Lru_set.touch s 2);
+  check_int "hit 1" Lru_set.hit (Lru_set.touch s 1);
+  check_int "miss 3" Lru_set.inserted (Lru_set.touch s 3);
   (* order now: 3, 1, 2 -> inserting 4 evicts 2 *)
-  check_bool "evicts lru" true (Lru_set.touch s 4 = `Miss (Some 2));
-  Alcotest.(check (list int)) "mru order" [ 4; 3; 1 ] (Lru_set.to_list s)
+  check_int "evicts lru" 2 (Lru_set.touch s 4);
+  Alcotest.(check (list int)) "mru order" [ 4; 3; 1 ] (Lru_set.to_list s);
+  check_bool "negative key rejected" true
+    (try ignore (Lru_set.touch s (-1)); false with Invalid_argument _ -> true)
 
 let test_lru_set_remove_clear () =
   let s = Lru_set.create ~capacity:2 in
@@ -93,7 +95,7 @@ let test_lru_set_remove_clear () =
   check_bool "remove absent" false (Lru_set.remove s 10);
   check_int "length" 1 (Lru_set.length s);
   (* freed slot is reusable *)
-  check_bool "reinsert" true (Lru_set.touch s 30 = `Miss None);
+  check_int "reinsert" Lru_set.inserted (Lru_set.touch s 30);
   Lru_set.clear s;
   check_int "cleared" 0 (Lru_set.length s);
   check_bool "empty after clear" true (Lru_set.to_list s = [])
@@ -118,12 +120,50 @@ let prop_lru_set_model =
       let model = ref [] in
       List.for_all
         (fun k ->
-          ignore (Lru_set.touch s k);
+          let got = Lru_set.touch s k in
+          let expected =
+            if List.mem k !model then Lru_set.hit
+            else if List.length !model < cap then Lru_set.inserted
+            else List.nth !model (cap - 1)
+          in
           model := k :: List.filter (fun x -> x <> k) !model;
           if List.length !model > cap then
             model := List.filteri (fun i _ -> i < cap) !model;
-          Lru_set.to_list s = !model)
+          got = expected
+          && Lru_set.to_list s = !model
+          && List.for_all (Lru_set.mem s) !model)
         keys)
+
+let prop_lru_set_model_removes =
+  (* Touches and removes over a wide key range, so the flat index sees
+     collisions, wrapped probe runs and deletions in the middle of runs. *)
+  QCheck.Test.make ~name:"lru_set matches reference model under removes"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 40)
+        (list_of_size (QCheck.Gen.int_bound 400)
+           (pair bool (oneof [ int_bound 60; int_bound 1_000_000 ]))))
+    (fun (cap, ops) ->
+      let s = Lru_set.create ~capacity:cap in
+      let model = ref [] in
+      List.for_all
+        (fun (is_remove, k) ->
+          if is_remove then begin
+            let present = List.mem k !model in
+            model := List.filter (fun x -> x <> k) !model;
+            Lru_set.remove s k = present
+          end
+          else begin
+            ignore (Lru_set.touch s k);
+            model := k :: List.filter (fun x -> x <> k) !model;
+            if List.length !model > cap then
+              model := List.filteri (fun i _ -> i < cap) !model;
+            true
+          end
+          && Lru_set.to_list s = !model
+          && Lru_set.length s = List.length !model
+          && List.for_all (Lru_set.mem s) !model)
+        ops)
 
 (* --- geometry helpers --- *)
 
@@ -653,6 +693,7 @@ let qcheck_cases =
       prop_mask_union_count;
       prop_lru_set_capacity;
       prop_lru_set_model;
+      prop_lru_set_model_removes;
       prop_hits_plus_misses;
       prop_valid_lines_bounded;
       prop_repeat_all_hits;

@@ -85,18 +85,13 @@ let test_dram_open_row_semantics () =
   (* Same row twice on a cold bank: activation (conflict) then open-row
      hit, back to back on the single bank resource. *)
   let d = Dram.create Timing.default (Dram.config ~banks:2 ~row_bytes:64 ()) in
-  let a = Dram.request d ~now:0 ~addr:0 in
-  check_int "cold start" 0 a.Dram.start;
-  check_int "cold pays activation" 28 a.Dram.finish;
-  check_bool "cold is not a row hit" false a.Dram.row_hit;
-  let b = Dram.request d ~now:0 ~addr:16 in
-  check_bool "same row hits" true b.Dram.row_hit;
-  check_int "bank is serial" 28 b.Dram.start;
-  check_int "open-row latency" 40 b.Dram.finish;
+  check_int "cold pays activation from time 0" 28 (Dram.request d ~now:0 ~addr:0);
+  check_int "cold is not a row hit" 1 (Dram.stats d).Dram.conflicts;
+  check_int "bank is serial, then open-row latency" 40
+    (Dram.request d ~now:0 ~addr:16);
+  check_int "same row hits" 1 (Dram.stats d).Dram.hits;
   (* row 1 lands on the other bank and proceeds in parallel *)
-  let c = Dram.request d ~now:0 ~addr:64 in
-  check_int "row-interleaved bank" 1 c.Dram.bank;
-  check_int "other bank starts immediately" 0 c.Dram.start;
+  check_int "other bank starts immediately" 28 (Dram.request d ~now:0 ~addr:64);
   let s = Dram.stats d in
   check_int "totals" 3 s.Dram.total;
   check_int "hits" 1 s.Dram.hits;
@@ -109,10 +104,9 @@ let test_dram_queue_bounds_flight () =
     Dram.create Timing.default
       (Dram.config ~banks:4 ~row_bytes:64 ~queue_depth:1 ())
   in
-  let a = Dram.request d ~now:0 ~addr:0 in
-  check_int "first finishes" 28 a.Dram.finish;
-  let b = Dram.request d ~now:0 ~addr:64 in
-  check_int "admitted when the channel drains" 28 b.Dram.start;
+  check_int "first finishes" 28 (Dram.request d ~now:0 ~addr:0);
+  check_int "admitted when the channel drains" 56
+    (Dram.request d ~now:0 ~addr:64);
   check_int "one queue stall" 1 (Dram.stats d).Dram.stalls
 
 (* --- DRAM: qcheck properties --- *)
@@ -127,6 +121,8 @@ let arb_dram_trace =
       list_size (int_range 1 60)
         (pair (int_bound 40) (int_bound 4095)))
 
+(* Per request: its completion time and whether it hit the open row (read
+   from the row-hit count). *)
 let replay_dram cfg trace =
   let d = Dram.create Timing.default cfg in
   let now = ref 0 in
@@ -134,10 +130,18 @@ let replay_dram cfg trace =
     List.map
       (fun (gap, addr) ->
         now := !now + gap;
-        Dram.request d ~now:!now ~addr)
+        let hits = (Dram.stats d).Dram.hits in
+        let finish = Dram.request d ~now:!now ~addr in
+        (finish, (Dram.stats d).Dram.hits > hits))
       trace
   in
   (outs, Dram.stats d)
+
+let service row_hit =
+  if row_hit then Timing.default.Timing.dram_row_hit_cycles
+  else Timing.default.Timing.dram_row_conflict_cycles
+
+let bank_of (cfg : Dram.config) addr = addr / cfg.Dram.row_bytes mod cfg.Dram.banks
 
 let prop_dram_deterministic =
   QCheck.Test.make ~name:"dram: fixed sequence, identical outcomes" ~count:200
@@ -149,16 +153,21 @@ let prop_dram_row_hit_cheaper =
   QCheck.Test.make
     ~name:"dram: row hits price strictly below row conflicts" ~count:200
     arb_dram_trace (fun trace ->
-      let outs, _ =
-        replay_dram (Dram.config ~banks:2 ~row_bytes:256 ()) trace
-      in
-      List.for_all
-        (fun (o : Dram.outcome) ->
-          let service = o.Dram.finish - o.Dram.start in
-          if o.Dram.row_hit then
-            service = Timing.default.Timing.dram_row_hit_cycles
-          else service = Timing.default.Timing.dram_row_conflict_cycles)
-        outs
+      (* a queue deeper than any trace never stalls: a request starts when
+         it is issued or when its bank frees, whichever is later *)
+      let cfg = Dram.config ~banks:2 ~row_bytes:256 ~queue_depth:64 () in
+      let outs, stats = replay_dram cfg trace in
+      let bank_free = Array.make cfg.Dram.banks 0 in
+      let now = ref 0 in
+      stats.Dram.stalls = 0
+      && List.for_all2
+           (fun (gap, addr) (finish, row_hit) ->
+             now := !now + gap;
+             let bank = bank_of cfg addr in
+             let start = max !now bank_free.(bank) in
+             bank_free.(bank) <- finish;
+             finish - start = service row_hit)
+           trace outs
       && Timing.default.Timing.dram_row_hit_cycles
          < Timing.default.Timing.dram_row_conflict_cycles)
 
@@ -168,15 +177,16 @@ let prop_dram_bank_fifo =
       let cfg = Dram.config ~banks:3 ~row_bytes:128 ~queue_depth:4 () in
       let outs, _ = replay_dram cfg trace in
       let last_finish = Array.make cfg.Dram.banks 0 in
-      List.for_all
-        (fun (o : Dram.outcome) ->
-          let ok =
-            o.Dram.start >= last_finish.(o.Dram.bank)
-            && o.Dram.finish > o.Dram.start
-          in
-          last_finish.(o.Dram.bank) <- o.Dram.finish;
+      let now = ref 0 in
+      List.for_all2
+        (fun (gap, addr) (finish, row_hit) ->
+          now := !now + gap;
+          let bank = bank_of cfg addr in
+          let start = finish - service row_hit in
+          let ok = start >= !now && start >= last_finish.(bank) in
+          last_finish.(bank) <- finish;
           ok)
-        outs)
+        trace outs)
 
 (* --- MSHR merges never change functional counts --- *)
 

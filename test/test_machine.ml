@@ -368,67 +368,79 @@ let test_batched_matches_scalar_plain () =
   check_run_stats "plain delta" rs rb;
   check_run_stats "plain total" (System.total s) (System.total b)
 
+let streaming_system () =
+  let sys, stream = streaming_setup () in
+  System.set_streaming sys stream;
+  sys
+
+let streaming_walk = Memtrace.Synthetic.sequential ~base:0 ~count:256 ~stride:4 ()
+
 let test_batched_matches_scalar_streaming () =
-  let mk () =
-    let sys, stream = streaming_setup () in
-    System.set_streaming sys stream;
-    sys
-  in
-  let walk = Memtrace.Synthetic.sequential ~base:0 ~count:256 ~stride:4 () in
-  let rs, rb, _, _ = both_drivers mk walk in
+  let rs, rb, _, _ = both_drivers streaming_system streaming_walk in
   check_bool "prefetches actually happened" true (rs.Run_stats.prefetches > 0);
   check_run_stats "streaming" rs rb
 
+let regions_system () =
+  let sys = make_system () in
+  System.add_scratchpad sys ~base:0x8000 ~size:512;
+  System.add_uncached sys ~base:0x9000 ~size:512;
+  sys
+
+let regions_trace =
+  Trace.of_list
+    (List.concat_map
+       (fun i ->
+         [
+           Access.make ~gap:(i mod 3) (i * 8 mod 1024);
+           Access.make ~kind:Access.Write (0x8000 + (i * 4 mod 512));
+           Access.make (0x9000 + (i * 16 mod 512));
+         ])
+       (List.init 200 Fun.id))
+
 let test_batched_matches_scalar_regions () =
-  let mk () =
-    let sys = make_system () in
-    System.add_scratchpad sys ~base:0x8000 ~size:512;
-    System.add_uncached sys ~base:0x9000 ~size:512;
-    sys
-  in
-  let trace =
-    Trace.of_list
-      (List.concat_map
-         (fun i ->
-           [
-             Access.make ~gap:(i mod 3) (i * 8 mod 1024);
-             Access.make ~kind:Access.Write (0x8000 + (i * 4 mod 512));
-             Access.make (0x9000 + (i * 16 mod 512));
-           ])
-         (List.init 200 Fun.id))
-  in
-  let rs, rb, _, _ = both_drivers mk trace in
+  let rs, rb, _, _ = both_drivers regions_system regions_trace in
   check_bool "scratchpad actually hit" true
     (rs.Run_stats.scratchpad_accesses > 0);
   check_run_stats "regions" rs rb
 
+let l2_thrash =
+  (* 4 KB region: overflows the 2 KB L1, fits the 16 KB L2 *)
+  Memtrace.Synthetic.repeat_walk ~base:0 ~len:256 ~stride:16 ~passes:8 ()
+
 let test_batched_matches_scalar_l2 () =
-  let thrash =
-    (* 4 KB region: overflows the 2 KB L1, fits the 16 KB L2 *)
-    Memtrace.Synthetic.repeat_walk ~base:0 ~len:256 ~stride:16 ~passes:8 ()
-  in
-  let rs, rb, _, _ = both_drivers l2_system thrash in
+  let rs, rb, _, _ = both_drivers l2_system l2_thrash in
   check_bool "L2 actually hit" true (rs.Run_stats.l2_hits > 0);
   check_run_stats "l2" rs rb
 
+let frame_map_system () =
+  let sys = make_system () in
+  let fm = Vm.Frame_map.create ~page_size:256 in
+  (* swap two distant pages so virtual and physical indices disagree *)
+  Vm.Frame_map.map_page fm ~page:0 ~frame:16;
+  Vm.Frame_map.map_page fm ~page:16 ~frame:0;
+  System.set_frame_map sys fm;
+  sys
+
+(* frame-map pages finer than the machine's: no per-page offset *)
+let fine_frame_map_system () =
+  let sys = make_system () in
+  let fm = Vm.Frame_map.create ~page_size:64 in
+  Vm.Frame_map.map_page fm ~page:1 ~frame:70;
+  Vm.Frame_map.map_page fm ~page:70 ~frame:1;
+  System.set_frame_map sys fm;
+  sys
+
+let frame_map_trace =
+  Trace.of_list
+    (List.concat_map
+       (fun i -> [ Access.make (i * 4 mod 256); Access.make (0x1000 + (i * 4 mod 256)) ])
+       (List.init 150 Fun.id))
+
 let test_batched_matches_scalar_frame_map () =
-  let mk () =
-    let sys = make_system () in
-    let fm = Vm.Frame_map.create ~page_size:256 in
-    (* swap two distant pages so virtual and physical indices disagree *)
-    Vm.Frame_map.map_page fm ~page:0 ~frame:16;
-    Vm.Frame_map.map_page fm ~page:16 ~frame:0;
-    System.set_frame_map sys fm;
-    sys
-  in
-  let trace =
-    Trace.of_list
-      (List.concat_map
-         (fun i -> [ Access.make (i * 4 mod 256); Access.make (0x1000 + (i * 4 mod 256)) ])
-         (List.init 150 Fun.id))
-  in
-  let rs, rb, _, _ = both_drivers mk trace in
-  check_run_stats "frame map" rs rb
+  let rs, rb, _, _ = both_drivers frame_map_system frame_map_trace in
+  check_run_stats "frame map" rs rb;
+  let rs, rb, _, _ = both_drivers fine_frame_map_system frame_map_trace in
+  check_run_stats "fine frame map" rs rb
 
 let test_batched_matches_scalar_retint () =
   (* reconfigure between replays: memoized state must not leak across *)
@@ -456,6 +468,107 @@ let test_batched_matches_scalar_retint () =
   check_run_stats "after flushes" (System.run scalar t1)
     (System.run_trace batched t1);
   check_run_stats "grand total" (System.total scalar) (System.total batched)
+
+(* Every machine feature, for the tests that replay each through every
+   packed wrapper. *)
+let features =
+  [
+    ("plain", (fun () -> make_system ()), mixed_trace);
+    ("streaming", streaming_system, streaming_walk);
+    ("regions", regions_system, regions_trace);
+    ("L2", l2_system, l2_thrash);
+    ("frame map", frame_map_system, frame_map_trace);
+    ("fine frame map", fine_frame_map_system, frame_map_trace);
+  ]
+
+(* The event core retimes a run and never recounts it: every field but the
+   cycles and the event core's own telemetry matches the scalar path. *)
+let functional_counts (r : Run_stats.t) =
+  {
+    r with
+    Run_stats.cycles = 0;
+    mshr_merges = 0;
+    mshr_stalls = 0;
+    dram_row_hits = 0;
+    dram_row_conflicts = 0;
+  }
+
+let test_events_match_scalar_counts () =
+  List.iter
+    (fun (name, mk, trace) ->
+      let rs = System.run (mk ()) trace in
+      let re =
+        System.run_packed_events (mk ()) ~events:Machine.Event.default_config
+          (Memtrace.Packed.of_trace trace)
+      in
+      check_run_stats (name ^ " under events") (functional_counts rs)
+        (functional_counts re);
+      check_bool (name ^ " retimed") true (re.Run_stats.cycles > 0))
+    features
+
+(* Windows of 5 accesses, 2 apart: the scalar side reads its cycle count as
+   each window opens and closes, and the batched loop's derived count must
+   give every window the same latency. *)
+let test_request_windows_match_scalar () =
+  List.iter
+    (fun (name, mk, trace) ->
+      let accesses = Array.of_list (Trace.to_list trace) in
+      let n = Array.length accesses in
+      let requests = Array.init (n / 7) (fun k -> (7 * k, (7 * k) + 5)) in
+      let scalar = mk () in
+      let cycles () = (System.total scalar).Run_stats.cycles in
+      let expected =
+        Array.map
+          (fun (start, stop) ->
+            for i = (if start = 0 then 0 else start - 2) to start - 1 do
+              ignore (System.access scalar accesses.(i))
+            done;
+            let opened = cycles () in
+            for i = start to stop - 1 do
+              ignore (System.access scalar accesses.(i))
+            done;
+            cycles () - opened)
+          requests
+      in
+      let batched =
+        System.run_packed_requests (mk ())
+          (Memtrace.Packed.of_list (Array.to_list (Array.sub accesses 0 (7 * (n / 7)))))
+          ~requests
+      in
+      check_bool (name ^ " window latencies") true
+        (Machine.Latency.equal batched.Run_stats.requests
+           (Machine.Latency.of_samples expected)))
+    features
+
+(* A kind byte outside 0-2 (a corrupt mapped trace) is rejected the same way
+   by every packed replay, naming the access, before the replay changes the
+   machine: the access before the bad byte leaves no trace. *)
+let test_corrupt_kind_rejected () =
+  let packed () =
+    let p = Memtrace.Packed.of_list [ Access.make 0; Access.make 16; Access.make 32 ] in
+    Bigarray.Array1.set (Memtrace.Packed.raw_kinds p) 1 '\003';
+    p
+  in
+  let events = Machine.Event.default_config in
+  let requests = [| (0, 3) |] in
+  let expected = Invalid_argument "System: access 1 has kind byte 3 (expected 0-2)" in
+  List.iter
+    (fun (name, run) ->
+      let sys = make_system () in
+      let before = System.total sys in
+      Alcotest.check_raises name expected (fun () ->
+          ignore (run sys (packed ())));
+      Alcotest.(check bool) (name ^ ": counters untouched") true
+        (System.total sys = before);
+      Alcotest.(check bool) (name ^ ": cache untouched") true
+        (Cache.Sassoc.probe (System.cache sys) 0 = None))
+    [
+      ("run_packed", System.run_packed);
+      ("run_packed_requests", fun sys p -> System.run_packed_requests sys p ~requests);
+      ("run_packed_events", fun sys p -> System.run_packed_events sys ~events p);
+      ( "run_packed_requests_events",
+        fun sys p -> System.run_packed_requests_events sys ~events p ~requests );
+    ]
 
 let suites =
   [
@@ -504,5 +617,11 @@ let suites =
           test_batched_matches_scalar_frame_map;
         Alcotest.test_case "retint between runs" `Quick
           test_batched_matches_scalar_retint;
+        Alcotest.test_case "event counts on every feature" `Quick
+          test_events_match_scalar_counts;
+        Alcotest.test_case "request windows on every feature" `Quick
+          test_request_windows_match_scalar;
+        Alcotest.test_case "corrupt kind byte rejected" `Quick
+          test_corrupt_kind_rejected;
       ] );
   ]

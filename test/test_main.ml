@@ -8,4 +8,4 @@ let () =
    @ Test_differential.suites @ Test_policy_ref.suites @ Test_stack_dist.suites
    @ Test_addr_decomp.suites @ Test_csv_export.suites @ Test_bench_json.suites
    @ Test_workload_gen.suites @ Test_packed_file.suites @ Test_sampled.suites
-   @ Test_wcet.suites @ Test_event.suites @ Test_shard.suites)
+   @ Test_wcet.suites @ Test_event.suites @ Test_shard.suites @ Test_alloc.suites)

@@ -202,6 +202,19 @@ let test_builder_matches_of_samples () =
   check_bool "builder = of_samples" true
     (Latency.equal (Latency.Builder.build b) (Latency.of_samples samples))
 
+(* [Builder.build] sorts with its own radix sort; [of_samples] with the
+   stdlib's. Values span every byte width the radix passes cover. *)
+let prop_builder_matches_of_samples =
+  QCheck.Test.make ~name:"latency: builder = of_samples, random samples"
+    ~count:200
+    QCheck.(
+      array_of_size (QCheck.Gen.int_bound 300)
+        (oneof [ int_bound 300; int_bound 70_000; int_bound max_int ]))
+    (fun samples ->
+      let b = Latency.Builder.create ~initial_capacity:1 () in
+      Array.iter (Latency.Builder.push b) samples;
+      Latency.equal (Latency.Builder.build b) (Latency.of_samples samples))
+
 (* --- machine-level request accounting --- *)
 
 let test_machine_requests_pinned () =
@@ -412,6 +425,7 @@ let suites =
         Alcotest.test_case "merge" `Quick test_latency_merge;
         Alcotest.test_case "builder = of_samples" `Quick
           test_builder_matches_of_samples;
+        QCheck_alcotest.to_alcotest prop_builder_matches_of_samples;
         Alcotest.test_case "machine: hand-built request latencies" `Quick
           test_machine_requests_pinned;
         Alcotest.test_case "machine: aggregates unchanged by windows" `Quick
