@@ -40,15 +40,26 @@ let () =
     end;
     let coeff_misses = ref 0 and coeff_accesses = ref 0 in
     let cache_stats = Cache.Sassoc.stats (Machine.System.cache system) in
-    Memtrace.Trace.iter
-      (fun a ->
-        let before = cache_stats.Cache.Stats.misses in
-        ignore (Machine.System.access system a);
-        if a.Memtrace.Access.var = Some "coeffs" then begin
-          incr coeff_accesses;
-          coeff_misses := !coeff_misses + cache_stats.Cache.Stats.misses - before
-        end)
-      mixed;
+    let packed = Memtrace.Packed.of_trace mixed in
+    let n = Memtrace.Packed.length packed in
+    let is_coeff i = Memtrace.Packed.var packed i = Some "coeffs" in
+    (* replay each maximal run of coefficient (or other) accesses as one
+       range, and charge a coefficient run's misses to the table *)
+    let pos = ref 0 in
+    while !pos < n do
+      let coeff = is_coeff !pos in
+      let stop = ref (!pos + 1) in
+      while !stop < n && is_coeff !stop = coeff do
+        incr stop
+      done;
+      let before = cache_stats.Cache.Stats.misses in
+      ignore (Machine.System.replay_range system packed ~pos:!pos ~stop:!stop);
+      if coeff then begin
+        coeff_accesses := !coeff_accesses + (!stop - !pos);
+        coeff_misses := !coeff_misses + cache_stats.Cache.Stats.misses - before
+      end;
+      pos := !stop
+    done;
     (!coeff_accesses, !coeff_misses)
   in
 

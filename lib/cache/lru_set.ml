@@ -148,8 +148,23 @@ let remove t key =
        true
      end
 
+(* Empties the index position of every resident key instead of the whole
+   index (eight times the capacity): a TLB flushed on every context switch
+   holds only the few pages of one slice. Every position is found before
+   any is emptied, since a probe must not cross a freshly made hole; [prev]
+   holds them, as the list is walked through [next] alone. *)
 let clear t =
-  Array.fill t.index 0 (Array.length t.index) (-1);
+  let slot = ref t.head in
+  while !slot >= 0 do
+    let key = t.keys.(!slot) in
+    t.prev.(!slot) <- probe t key (home t key);
+    slot := t.next.(!slot)
+  done;
+  let slot = ref t.head in
+  while !slot >= 0 do
+    Array.unsafe_set t.index t.prev.(!slot) (-1);
+    slot := t.next.(!slot)
+  done;
   for i = 0 to t.capacity - 1 do
     t.free.(i) <- t.capacity - 1 - i
   done;

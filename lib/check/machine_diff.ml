@@ -69,6 +69,20 @@ let windows_within (len, skip) n =
   in
   go 0 []
 
+(* Consecutive ranges covering [0, n), cut at every window boundary: the
+   windows themselves and the stretches between and after them. *)
+let ranges_within shape n =
+  let cuts =
+    Array.fold_left
+      (fun acc (start, stop) -> stop :: start :: acc)
+      [ 0; n ] (windows_within shape n)
+  in
+  let rec pair = function
+    | a :: (b :: _ as rest) -> (a, b) :: pair rest
+    | [ _ ] | [] -> []
+  in
+  pair (List.sort_uniq compare cuts)
+
 let pp_samples l = String.concat ";" (List.map string_of_int l)
 
 let run_scenario ?bug (sc : Scenario.t) =
@@ -77,18 +91,24 @@ let run_scenario ?bug (sc : Scenario.t) =
   in
   (* Two identical machines: [scalar] replays each access the moment it
      appears ([System.access]); [batched] queues runs of accesses and
-     replays them through [System.run_packed_requests] at the next
-     reconfiguration point, with request windows cut from the batch by
-     [window_shape]. Reconfigurations land on both sides in scenario
-     order, so the two machines see exactly the same history — every
-     counter, the cache contents and the TLB-dependent reconfiguration
-     costs must match, and so must every window's latency: the scalar side
-     reads its cycle count when a window opens and when it closes. *)
+     replays them at the next reconfiguration point. Even-numbered batches
+     go through [System.run_packed_requests], with request windows cut
+     from the batch by [window_shape]; odd-numbered ones through
+     consecutive [System.replay_range] calls over the one packed batch,
+     cut at the same windows' boundaries. Reconfigurations land on both
+     sides in scenario order, so the two machines see exactly the same
+     history — every counter, the cache contents and the TLB-dependent
+     reconfiguration costs must match, and so must every window's latency
+     and every range's cycles: the scalar side reads its cycle count
+     before each access. *)
   let scalar = System.create cfg in
   let batched = System.create cfg in
   let shape = window_shape sc in
   let pending = ref [] in
   let batch_len = ref 0 in
+  let batches = ref 0 in
+  (* the scalar cycle count before each pending access, newest first *)
+  let clocks = ref [] in
   (* the open window's first index and opening cycle count *)
   let open_window = ref None in
   let latencies = ref [] in
@@ -107,30 +127,52 @@ let run_scenario ?bug (sc : Scenario.t) =
             List.map (fun (a : Access.t) -> { a with gap = 0 }) evs
           else evs
         in
-        let requests = windows_within shape (List.length evs) in
-        let stats =
-          System.run_packed_requests batched (Memtrace.Packed.of_list evs)
-            ~requests
-        in
+        let n = List.length evs in
+        let packed = Memtrace.Packed.of_list evs in
         let expected = List.rev !latencies in
+        let clock = Array.of_list (List.rev (cycles scalar :: !clocks)) in
+        let by_ranges = !batches mod 2 = 1 in
         pending := [];
         batch_len := 0;
+        clocks := [];
         open_window := None;
         latencies := [];
+        incr batches;
+        let requests =
+          if by_ranges then begin
+            List.iter
+              (fun (pos, stop) ->
+                let got = System.replay_range batched packed ~pos ~stop in
+                let want = clock.(stop) - clock.(pos) in
+                if got <> want then
+                  failf
+                    "cycles of range [%d, %d) differ: scalar %d, batched %d"
+                    pos stop want got)
+              (ranges_within shape n);
+            None
+          end
+          else
+            Some
+              (System.run_packed_requests batched packed
+                 ~requests:(windows_within shape n))
+                .Run_stats.requests
+        in
         compare_totals (System.total scalar) (System.total batched);
-        if
-          not
-            (Machine.Latency.equal stats.Run_stats.requests
-               (Machine.Latency.of_samples (Array.of_list expected)))
-        then
-          failf "request latencies differ: scalar [%s], batched %a"
-            (pp_samples expected) Machine.Latency.pp stats.Run_stats.requests
+        match requests with
+        | Some got
+          when not
+                 (Machine.Latency.equal got
+                    (Machine.Latency.of_samples (Array.of_list expected))) ->
+            failf "request latencies differ: scalar [%s], batched %a"
+              (pp_samples expected) Machine.Latency.pp got
+        | Some _ | None -> ()
   in
   let apply event =
     match (event : Scenario.event) with
     | Scenario.Access a ->
         let i = !batch_len in
         if window_first shape i then open_window := Some (i, cycles scalar);
+        clocks := cycles scalar :: !clocks;
         ignore (System.access scalar a);
         (match !open_window with
         | Some (first, opened) when window_last shape ~first i ->

@@ -127,18 +127,20 @@ module Fig5 = struct
      default so that interference shows at the paper's amplitude. *)
   let fig5_timing = { Machine.Timing.default with Machine.Timing.miss_penalty = 50 }
 
+  (* The three gzip jobs, packed once per sweep: every point replays them
+     on a fresh machine and never mutates them. *)
   let jobs ~input_len =
     List.map
       (fun (name, seed, base) ->
         {
-          Sched.Round_robin.name;
-          trace = Workloads.Lz77.trace ~seed ~input_len ~base ();
+          Sched.Epoch.name;
+          packed = Workloads.Lz77.packed_trace ~seed ~input_len ~base ();
         })
       [ ("A", 1, 0x000000); ("B", 2, 0x100000); ("C", 3, 0x200000) ]
 
   let job_a_region = (0x000000, 0x100000)
 
-  let run_point ~cache_kb ~mapped ~quantum ~input_len =
+  let run_point ~cache_kb ~mapped ~quantum ~jobs =
     let ways = 8 in
     let cache =
       Cache.Sassoc.config ~line_size:16 ~size_bytes:(cache_kb * 1024) ~ways ()
@@ -157,15 +159,14 @@ module Fig5 = struct
       Vm.Mapping.remap_tint mapping Vm.Tint.default
         (Cache.Bitmask.range ~lo:6 ~hi:7)
     end;
-    let outcome =
-      Sched.Round_robin.run ~system ~quantum (jobs ~input_len)
-    in
+    let outcome = Sched.Round_robin.run_packed ~system ~quantum jobs in
     match Sched.Round_robin.find_job outcome "A" with
     | Some s -> Sched.Round_robin.cpi s
     | None -> assert false
 
   let run ?(quanta = default_quanta) ?(cache_kbs = [ 16; 128 ])
       ?(input_len = 12288) () =
+    let jobs = jobs ~input_len in
     List.concat_map
       (fun cache_kb ->
         List.map
@@ -179,7 +180,7 @@ module Fig5 = struct
               points =
                 List.map
                   (fun quantum ->
-                    (quantum, run_point ~cache_kb ~mapped ~quantum ~input_len))
+                    (quantum, run_point ~cache_kb ~mapped ~quantum ~jobs))
                   quanta;
             })
           [ false; true ])
@@ -722,7 +723,7 @@ module Ablation_tlb = struct
 
   let run ?(quanta = [ 16; 256; 4096; 65536; 1048576 ]) ?(sizes = [ 8; 32; 128 ])
       ?(input_len = 8192) () =
-    let jobs () = Fig5.jobs ~input_len in
+    let jobs = Fig5.jobs ~input_len in
     List.map
       (fun tlb_entries ->
         let points =
@@ -738,8 +739,8 @@ module Ablation_tlb = struct
                      ~page_size:1024 ~tlb_entries cache)
               in
               let outcome =
-                Sched.Round_robin.run ~flush_tlb_on_switch:true ~system
-                  ~quantum (jobs ())
+                Sched.Round_robin.run_packed ~flush_tlb_on_switch:true
+                  ~system ~quantum jobs
               in
               match Sched.Round_robin.find_job outcome "A" with
               | Some s -> (quantum, Sched.Round_robin.cpi s)
@@ -1655,9 +1656,7 @@ module Multitask_domains = struct
   let job_of (name, seed, base, _cols) =
     {
       Sched.Epoch.name;
-      packed =
-        Memtrace.Packed.of_trace
-          (Workloads.Lz77.trace ~seed ~input_len:4096 ~base ());
+      packed = Workloads.Lz77.packed_trace ~seed ~input_len:4096 ~base ();
     }
 
   let make_system (job : Sched.Epoch.job) =
@@ -1750,9 +1749,7 @@ module Mrc_scaling = struct
   let max_ways = 8
 
   let packed =
-    lazy
-      (Memtrace.Packed.of_trace
-         (Workloads.Lz77.trace ~seed:11 ~input_len:8192 () ~base:0))
+    lazy (Workloads.Lz77.packed_trace ~seed:11 ~input_len:8192 ~base:0 ())
 
   let run ?(jobs_list = [ 1; 2; 4 ]) () =
     let p = Lazy.force packed in

@@ -20,6 +20,44 @@ type region = {
   size : int;
 }
 
+(* The batched replay loop's state ([replay_loop]): the page memo and its
+   deferred TLB touches, the tint -> mask cache, and the counters the
+   loop's helpers accrue. One per system, allocated on its first packed
+   replay and reset at the start of every replay. *)
+let memo_size = 128
+let memo_mask = memo_size - 1
+let tint_cache_size = 8
+
+(* the [m_page] of a memo slot that holds no page *)
+let vacant = min_int
+
+type loop = {
+  page_shift : int;
+  line_shift : int;
+  (* direct-mapped page memo: slot = low bits of the page number, one
+     compare per probe. Collisions merely evict the memo entry (the next
+     access to that page pays a real — and guaranteed to hit — TLB
+     lookup); correctness never depends on memo capacity. *)
+  m_page : int array;
+  m_seq : int array; (* last use, as an access index *)
+  m_mask : Bitmask.t array;
+  m_stream : bool array;
+  m_pending : bool array; (* the slot's LRU touch is deferred *)
+  pending_slots : int array; (* deferred slots, in first-pending order *)
+  mutable pending_count : int;
+  m_used : bool array; (* installed during the current replay *)
+  used_slots : int array;
+  mutable used_count : int;
+  tint_keys : Vm.Tint.t array;
+  tint_masks : Bitmask.t array;
+  mutable tints_n : int;
+  mutable tlb_missed : bool; (* whether the last real lookup missed *)
+  mutable extra : int; (* [Blocking] charges beyond gaps and hit cycles *)
+  mutable l2_hits : int;
+  mutable l2_misses : int;
+  mutable prefetches : int;
+}
+
 type t = {
   cfg : config;
   cache : Sassoc.t;
@@ -45,6 +83,7 @@ type t = {
   mutable dram_row_hits : int;
   mutable dram_row_conflicts : int;
   (* TLB counters live in the TLB itself; run deltas are snapshot-based. *)
+  mutable loop : loop option;
 }
 
 let create cfg =
@@ -72,6 +111,7 @@ let create cfg =
     mshr_stalls = 0;
     dram_row_hits = 0;
     dram_row_conflicts = 0;
+    loop = None;
   }
 
 let mapping t = t.mapping
@@ -273,9 +313,9 @@ let kind_at (kinds : Memtrace.Packed.byte_col) i =
 
 (* Every kind byte is decoded once before a replay changes any state, so a
    rejected trace leaves the machine as it was. *)
-let check_kinds (p : Memtrace.Packed.t) =
+let check_kinds (p : Memtrace.Packed.t) ~pos ~stop =
   let kinds = Memtrace.Packed.raw_kinds p in
-  for i = 0 to Memtrace.Packed.length p - 1 do
+  for i = pos to stop - 1 do
     ignore (kind_at kinds i : Access.kind)
   done
 
@@ -296,12 +336,12 @@ let check_kinds (p : Memtrace.Packed.t) =
      first ([Tlb.touch_resident]), immediately before the next real TLB
      operation reproduces the exact LRU state the per-access path builds;
    - tint -> mask is constant too, so a page's mask is memoized with it;
-   - counters accrue in local ints and land in [t]'s fields once at the end
-     (every counter is a sum). Under [Blocking] the cycle count is derived
-     rather than accumulated: every cached access pays [hit_cycles], so the
-     loop tracks only the gap sum, the region-access count and the extra
-     charges, and rebuilds the running count when a request window opens
-     or closes.
+   - counters accrue in locals and in the loop state and land in [t]'s
+     fields once at the end (every counter is a sum). Under [Blocking] the
+     cycle count is derived rather than accumulated: every cached access
+     pays [hit_cycles], so the loop tracks only the gap sum, the
+     region-access count and the extra charges, and rebuilds the running
+     count when a request window opens or closes.
 
    Pages overlapping a scratchpad/uncached region are never memoized:
    region membership is per address, so each access on such a page tests
@@ -310,217 +350,265 @@ let check_kinds (p : Memtrace.Packed.t) =
    the scalar path; their TLB behaviour is one lookup per access like any
    other page, so they memoize fine.
 
+   The invariant holds only within one replay: between two, the caller may
+   flush the TLB, re-tint pages or remap tints. So every replay starts from
+   an empty memo and tint cache and flushes its deferred touches before it
+   returns; nothing cached survives to need invalidating. What survives is
+   the storage ([loop], one per system): a replay of a handful of accesses
+   — a round-robin slice — pays a few field resets, not an allocation of
+   the memo and the loop's helpers.
+
    [requests] are validated (start, stop) spans. A window opens at its
    first access and closes after its last: under [Blocking] its latency is
    the cycle delta across it, under [Events] the latest retire among its
    accesses minus the first access's issue time. *)
-let replay_loop t ~hook ~requests ~lat (p : Memtrace.Packed.t) =
-  let n = Memtrace.Packed.length p in
+let loop_state t =
+  match t.loop with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          page_shift = log2 t.cfg.page_size;
+          line_shift = log2 t.cfg.cache.Sassoc.line_size;
+          m_page = Array.make memo_size vacant;
+          m_seq = Array.make memo_size 0;
+          m_mask = Array.make memo_size Bitmask.empty;
+          m_stream = Array.make memo_size false;
+          m_pending = Array.make memo_size false;
+          pending_slots = Array.make memo_size 0;
+          pending_count = 0;
+          m_used = Array.make memo_size false;
+          used_slots = Array.make memo_size 0;
+          used_count = 0;
+          tint_keys = Array.make tint_cache_size Vm.Tint.default;
+          tint_masks = Array.make tint_cache_size Bitmask.empty;
+          tints_n = 0;
+          tlb_missed = false;
+          extra = 0;
+          l2_hits = 0;
+          l2_misses = 0;
+          prefetches = 0;
+        }
+      in
+      t.loop <- Some s;
+      s
+
+(* Empty the memo, the pending touches and the tint cache, and zero the
+   counters: only the slots the previous replay installed are reset. *)
+let reset_loop s =
+  for k = 0 to s.used_count - 1 do
+    let j = Array.unsafe_get s.used_slots k in
+    s.m_page.(j) <- vacant;
+    s.m_pending.(j) <- false;
+    s.m_used.(j) <- false
+  done;
+  s.used_count <- 0;
+  s.pending_count <- 0;
+  s.tints_n <- 0;
+  s.extra <- 0;
+  s.l2_hits <- 0;
+  s.l2_misses <- 0;
+  s.prefetches <- 0
+
+(* Replay the deferred LRU touches, oldest last use first. *)
+let flush_touches s tlb =
+  let c = s.pending_count in
+  if c > 0 then begin
+    let slots = s.pending_slots and m_seq = s.m_seq in
+    (* insertion sort by last-use seq, ascending; runs are short *)
+    for a = 1 to c - 1 do
+      let sl = slots.(a) in
+      let key = m_seq.(sl) in
+      let b = ref (a - 1) in
+      while !b >= 0 && m_seq.(slots.(!b)) > key do
+        slots.(!b + 1) <- slots.(!b);
+        decr b
+      done;
+      slots.(!b + 1) <- sl
+    done;
+    for a = 0 to c - 1 do
+      let sl = slots.(a) in
+      s.m_pending.(sl) <- false;
+      Vm.Tlb.touch_resident tlb s.m_page.(sl)
+    done;
+    s.pending_count <- 0
+  end
+
+(* A real lookup on [page]: returns its tint and sets [tlb_missed]; an
+   evicted page leaves the memo. *)
+let lookup s tlb page =
+  let tint = Vm.Tlb.lookup_page_quick tlb page in
+  let r = Vm.Tlb.last_lookup tlb in
+  s.tlb_missed <- r <> Cache.Lru_set.hit;
+  if r >= 0 then begin
+    let sl = r land memo_mask in
+    if s.m_page.(sl) = r then s.m_page.(sl) <- vacant
+  end;
+  tint
+
+(* Install [page] in memo slot [j], whose last use is access [i]. *)
+let memoize s j ~page ~i ~mask ~stream =
+  if not (Array.unsafe_get s.m_used j) then begin
+    Array.unsafe_set s.m_used j true;
+    Array.unsafe_set s.used_slots s.used_count j;
+    s.used_count <- s.used_count + 1
+  end;
+  s.m_page.(j) <- page;
+  s.m_seq.(j) <- i;
+  s.m_mask.(j) <- mask;
+  s.m_stream.(j) <- stream;
+  s.m_pending.(j) <- false
+
+(* tint -> mask is constant during a replay: the masks of the first few
+   tints met are kept, so the tint table (a string-keyed hash) is consulted
+   about once per tint *)
+let rec find_tint s tint_table tint i =
+  if i >= s.tints_n then begin
+    let m = Vm.Tint_table.lookup tint_table tint in
+    if i < tint_cache_size then begin
+      s.tint_keys.(i) <- tint;
+      s.tint_masks.(i) <- m;
+      s.tints_n <- i + 1
+    end;
+    m
+  end
+  else if s.tint_keys.(i) == tint || Vm.Tint.equal s.tint_keys.(i) tint then
+    s.tint_masks.(i)
+  else find_tint s tint_table tint (i + 1)
+
+(* [streaming]: whether any tint streams at all *)
+let is_stream t ~streaming tint =
+  streaming && Hashtbl.mem t.streaming_tints tint
+
+(* Stream prefetch (Section 2): tagged next-line prefetching into the
+   stream's own columns, stopping where the next line's mask differs. *)
+let prefetch_next t s hook ~addr ~mask =
+  let next = addr + t.cfg.cache.Sassoc.line_size in
+  let next_phys = physical t next in
+  if
+    Bitmask.equal (Vm.Mapping.mask_of_quiet t.mapping next) mask
+    && Sassoc.fill t.cache ~mask next_phys
+  then begin
+    Hashtbl.replace t.prefetch_tagged (next_phys lsr s.line_shift) ();
+    s.prefetches <- s.prefetches + 1;
+    match hook with
+    | Blocking -> ()
+    | Events { engine; _ } -> Event.prefetch engine ~addr:next_phys
+  end
+
+(* The cached half of one access after VM resolution; returns the retire
+   time under [Events] (0 under [Blocking]). *)
+let cached_access t s hook ~addr ~kind ~gap ~tlb_missed ~mask ~stream =
+  let timing = t.cfg.timing in
+  let cache = t.cache in
+  let phys = physical t addr in
+  (match hook with
+  | Blocking ->
+      if tlb_missed then s.extra <- s.extra + timing.Timing.tlb_miss_penalty
+  | Events { engine; _ } ->
+      Event.elapse engine
+        (if tlb_missed then gap + timing.Timing.tlb_miss_penalty else gap));
+  let code = Sassoc.access_masked cache ~mask ~kind phys in
+  if code = 0 then begin
+    let retire =
+      match hook with
+      | Blocking -> 0
+      | Events { engine; inject_merge_bug = false } ->
+          Event.hit engine ~line:(phys lsr s.line_shift)
+      | Events { engine; inject_merge_bug = true } ->
+          let merges = Event.merges engine in
+          let retire = Event.hit engine ~line:(phys lsr s.line_shift) in
+          (* The planted [--inject-bug event] mutation: the buggy merge
+             path replays the merged request against the cache when its
+             fill lands, as if the MSHR had not recorded the first
+             reference — the second lookup double-counts the access. *)
+          if Event.merges engine > merges then
+            ignore (Sassoc.access_masked cache ~mask ~kind phys : int);
+          retire
+    in
+    (* the first use of a prefetched line fetches the next one *)
+    if Hashtbl.length t.prefetch_tagged > 0 then begin
+      let phys_line = phys lsr s.line_shift in
+      if Hashtbl.mem t.prefetch_tagged phys_line then begin
+        Hashtbl.remove t.prefetch_tagged phys_line;
+        if stream then prefetch_next t s hook ~addr ~mask
+      end
+    end;
+    retire
+  end
+  else begin
+    (* the line comes from L2 when one is configured and holds it *)
+    let l2_hit =
+      match t.l2 with
+      | None -> false
+      | Some l2c ->
+          if Sassoc.access_coded l2c ~kind phys land 1 = 0 then begin
+            s.l2_hits <- s.l2_hits + 1;
+            true
+          end
+          else begin
+            s.l2_misses <- s.l2_misses + 1;
+            false
+          end
+    in
+    let retire =
+      match hook with
+      | Blocking ->
+          s.extra <-
+            s.extra
+            + (if l2_hit then timing.Timing.l2_hit_cycles
+               else timing.Timing.miss_penalty)
+            + if code land 2 <> 0 then timing.Timing.writeback_penalty else 0;
+          0
+      | Events { engine; _ } ->
+          let victim =
+            if code land 2 <> 0 then
+              Sassoc.writeback_line cache * t.cfg.cache.Sassoc.line_size
+            else -1
+          in
+          Event.miss engine ~line:(phys lsr s.line_shift) ~addr:phys ~victim
+            ~l2_hit
+    in
+    if stream then prefetch_next t s hook ~addr ~mask;
+    retire
+  end
+
+(* The [Blocking] cycle count after [done_] accesses of a replay, relative
+   to its entry. *)
+let blocking_clock s ~hit_cycles ~gap_sum ~region_n done_ =
+  gap_sum + ((done_ - region_n) * hit_cycles) + s.extra
+
+(* A scratchpad or uncached access: it bypasses cache and TLB. *)
+let region_access s hook ~gap ~cost =
+  match hook with
+  | Blocking ->
+      s.extra <- s.extra + cost;
+      0
+  | Events { engine; _ } ->
+      Event.elapse engine (gap + cost);
+      Event.now engine
+
+let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
+  let s = loop_state t in
+  reset_loop s;
   let addrs = Memtrace.Packed.raw_addrs p in
   let gaps = Memtrace.Packed.raw_gaps p in
   let kinds = Memtrace.Packed.raw_kinds p in
   let timing = t.cfg.timing in
   let hit_cycles = timing.Timing.hit_cycles in
-  let miss_penalty = timing.Timing.miss_penalty in
-  let l2_hit_cycles = timing.Timing.l2_hit_cycles in
-  let writeback_penalty = timing.Timing.writeback_penalty in
-  let tlb_miss_penalty = timing.Timing.tlb_miss_penalty in
-  let cache = t.cache in
-  let l2 = t.l2 in
   let tlb = Vm.Mapping.tlb t.mapping in
-  let tint_table = Vm.Mapping.tint_table t.mapping in
   let page_size = t.cfg.page_size in
-  let page_shift = log2 page_size in
-  let line_size = t.cfg.cache.Sassoc.line_size in
-  let line_shift = log2 line_size in
+  let page_shift = s.page_shift in
+  let m_page = s.m_page and m_seq = s.m_seq and m_mask = s.m_mask in
+  let m_stream = s.m_stream and m_pending = s.m_pending in
+  let tint_table = Vm.Mapping.tint_table t.mapping in
+  let streaming = Hashtbl.length t.streaming_tints > 0 in
+  let regions = t.scratchpads != [] || t.uncached != [] in
   (* local counters, flushed into [t] after the loop *)
   let gap_sum = ref 0 in
-  let extra = ref 0 in
   let region_n = ref 0 in
   let scratchpad_n = ref 0 in
   let memo_hits = ref 0 in
-  let l2_hits = ref 0 in
-  let l2_misses = ref 0 in
-  let prefetches = ref 0 in
-  (* the [Blocking] cycle count after [done_] accesses, relative to entry *)
-  let blocking_clock done_ =
-    !gap_sum + ((done_ - !region_n) * hit_cycles) + !extra
-  in
-  (* direct-mapped page memo with deferred LRU touches: slot = low bits of
-     the page number, one compare per probe. Collisions merely evict the
-     memo entry (the next access to that page pays a real — and guaranteed
-     to hit — TLB lookup); correctness never depends on memo capacity *)
-  let memo_bits = 7 in
-  let memo_size = 1 lsl memo_bits in
-  let memo_mask = memo_size - 1 in
-  let m_page = Array.make memo_size min_int in
-  let m_seq = Array.make memo_size min_int in
-  let m_mask = Array.make memo_size Bitmask.empty in
-  let m_stream = Array.make memo_size false in
-  let m_pending = Array.make memo_size false in
-  (* slots with a deferred touch, in first-pending order; sorted by
-     last-use seq at flush time *)
-  let pending_slots = Array.make memo_size 0 in
-  let pending_count = ref 0 in
-  let flush_touches () =
-    let c = !pending_count in
-    if c > 0 then begin
-      (* insertion sort by last-use seq, ascending; runs are short *)
-      for a = 1 to c - 1 do
-        let sl = pending_slots.(a) in
-        let key = m_seq.(sl) in
-        let b = ref (a - 1) in
-        while !b >= 0 && m_seq.(pending_slots.(!b)) > key do
-          pending_slots.(!b + 1) <- pending_slots.(!b);
-          decr b
-        done;
-        pending_slots.(!b + 1) <- sl
-      done;
-      for a = 0 to c - 1 do
-        let sl = pending_slots.(a) in
-        m_pending.(sl) <- false;
-        Vm.Tlb.touch_resident tlb m_page.(sl)
-      done;
-      pending_count := 0
-    end
-  in
-  (* a real lookup on [page]: returns its tint and sets [tlb_missed]; an
-     evicted page leaves the memo *)
-  let tlb_missed = ref false in
-  let lookup page =
-    let tint = Vm.Tlb.lookup_page_quick tlb page in
-    let r = Vm.Tlb.last_lookup tlb in
-    tlb_missed := r <> Cache.Lru_set.hit;
-    if r >= 0 then begin
-      let sl = r land memo_mask in
-      if m_page.(sl) = r then begin
-        m_page.(sl) <- min_int;
-        m_seq.(sl) <- min_int
-      end
-    end;
-    tint
-  in
-  (* tint -> mask is constant during a replay: the masks of the first few
-     tints met are kept here, so the tint table (a string-keyed hash) is
-     consulted about once per tint *)
-  let tint_keys = Array.make 8 Vm.Tint.default in
-  let tint_masks = Array.make 8 Bitmask.empty in
-  let tints_n = ref 0 in
-  let rec find_tint tint i =
-    if i >= !tints_n then begin
-      let m = Vm.Tint_table.lookup tint_table tint in
-      if i < Array.length tint_keys then begin
-        tint_keys.(i) <- tint;
-        tint_masks.(i) <- m;
-        tints_n := i + 1
-      end;
-      m
-    end
-    else if tint_keys.(i) == tint || Vm.Tint.equal tint_keys.(i) tint then
-      tint_masks.(i)
-    else find_tint tint (i + 1)
-  in
-  let mask_of_tint tint = find_tint tint 0 in
-  let streaming = Hashtbl.length t.streaming_tints > 0 in
-  let is_stream tint = streaming && Hashtbl.mem t.streaming_tints tint in
-  let regions = t.scratchpads != [] || t.uncached != [] in
-  (* Stream prefetch (Section 2): tagged next-line prefetching into the
-     stream's own columns, stopping where the next line's mask differs. *)
-  let prefetch_next ~addr ~mask =
-    let next = addr + line_size in
-    let next_phys = physical t next in
-    if
-      Bitmask.equal (Vm.Mapping.mask_of_quiet t.mapping next) mask
-      && Sassoc.fill cache ~mask next_phys
-    then begin
-      Hashtbl.replace t.prefetch_tagged (next_phys lsr line_shift) ();
-      incr prefetches;
-      match hook with
-      | Blocking -> ()
-      | Events { engine; _ } -> Event.prefetch engine ~addr:next_phys
-    end
-  in
-  (* the cached half of one access after VM resolution; returns the retire
-     time under [Events] (0 under [Blocking]) *)
-  let cached_access ~addr ~phys ~kind ~gap ~tlb_missed ~mask ~stream =
-    (match hook with
-    | Blocking -> if tlb_missed then extra := !extra + tlb_miss_penalty
-    | Events { engine; _ } ->
-        Event.elapse engine (if tlb_missed then gap + tlb_miss_penalty else gap));
-    let code = Sassoc.access_masked cache ~mask ~kind phys in
-    if code = 0 then begin
-      let retire =
-        match hook with
-        | Blocking -> 0
-        | Events { engine; inject_merge_bug = false } ->
-            Event.hit engine ~line:(phys lsr line_shift)
-        | Events { engine; inject_merge_bug = true } ->
-            let merges = Event.merges engine in
-            let retire = Event.hit engine ~line:(phys lsr line_shift) in
-            (* The planted [--inject-bug event] mutation: the buggy merge
-               path replays the merged request against the cache when its
-               fill lands, as if the MSHR had not recorded the first
-               reference — the second lookup double-counts the access. *)
-            if Event.merges engine > merges then
-              ignore (Sassoc.access_masked cache ~mask ~kind phys : int);
-            retire
-      in
-      (* the first use of a prefetched line fetches the next one *)
-      if Hashtbl.length t.prefetch_tagged > 0 then begin
-        let phys_line = phys lsr line_shift in
-        if Hashtbl.mem t.prefetch_tagged phys_line then begin
-          Hashtbl.remove t.prefetch_tagged phys_line;
-          if stream then prefetch_next ~addr ~mask
-        end
-      end;
-      retire
-    end
-    else begin
-      (* the line comes from L2 when one is configured and holds it *)
-      let l2_hit =
-        match l2 with
-        | None -> false
-        | Some l2c ->
-            if Sassoc.access_coded l2c ~kind phys land 1 = 0 then begin
-              incr l2_hits;
-              true
-            end
-            else begin
-              incr l2_misses;
-              false
-            end
-      in
-      let retire =
-        match hook with
-        | Blocking ->
-            extra :=
-              !extra
-              + (if l2_hit then l2_hit_cycles else miss_penalty)
-              + if code land 2 <> 0 then writeback_penalty else 0;
-            0
-        | Events { engine; _ } ->
-            let victim =
-              if code land 2 <> 0 then Sassoc.writeback_line cache * line_size
-              else -1
-            in
-            Event.miss engine ~line:(phys lsr line_shift) ~addr:phys ~victim
-              ~l2_hit
-      in
-      if stream then prefetch_next ~addr ~mask;
-      retire
-    end
-  in
-  (* scratchpad and uncached accesses bypass cache and TLB *)
-  let region_access ~gap ~cost =
-    incr region_n;
-    match hook with
-    | Blocking ->
-        extra := !extra + cost;
-        0
-    | Events { engine; _ } ->
-        Event.elapse engine (gap + cost);
-        Event.now engine
-  in
   (* request windows: the next window's first access ([max_int] when none
      is left), the open window's last access (-1 when none is open) *)
   let n_req = Array.length requests in
@@ -529,16 +617,18 @@ let replay_loop t ~hook ~requests ~lat (p : Memtrace.Packed.t) =
   let win_last = ref (-1) in
   let win_open = ref 0 in
   let win_retire = ref 0 in
-  for i = 0 to n - 1 do
+  for i = pos to stop - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i in
     let gap = Bigarray.Array1.unsafe_get gaps i in
     let kind = kind_at kinds i in
     if i = !win_first then begin
-      let _, stop = requests.(!next_req) in
-      win_last := stop - 1;
+      let _, last = requests.(!next_req) in
+      win_last := last - 1;
       win_open :=
         (match hook with
-        | Blocking -> blocking_clock i
+        | Blocking ->
+            blocking_clock s ~hit_cycles ~gap_sum:!gap_sum
+              ~region_n:!region_n (i - pos)
         | Events { engine; _ } -> Event.now engine);
       win_retire := !win_open
     end;
@@ -552,17 +642,16 @@ let replay_loop t ~hook ~requests ~lat (p : Memtrace.Packed.t) =
         Array.unsafe_set m_seq j i;
         if not (Array.unsafe_get m_pending j) then begin
           Array.unsafe_set m_pending j true;
-          Array.unsafe_set pending_slots !pending_count j;
-          incr pending_count
+          Array.unsafe_set s.pending_slots s.pending_count j;
+          s.pending_count <- s.pending_count + 1
         end;
         incr memo_hits;
-        cached_access ~addr ~phys:(physical t addr) ~kind ~gap
-          ~tlb_missed:false
+        cached_access t s hook ~addr ~kind ~gap ~tlb_missed:false
           ~mask:(Array.unsafe_get m_mask j)
           ~stream:(Array.unsafe_get m_stream j)
       end
       else begin
-        flush_touches ();
+        flush_touches s tlb;
         let base = page lsl page_shift in
         if
           regions
@@ -573,30 +662,29 @@ let replay_loop t ~hook ~requests ~lat (p : Memtrace.Packed.t) =
              accesses pay a real lookup and the page is never memoized *)
           if in_region t.scratchpads addr then begin
             incr scratchpad_n;
-            region_access ~gap ~cost:timing.Timing.scratchpad_cycles
+            incr region_n;
+            region_access s hook ~gap ~cost:timing.Timing.scratchpad_cycles
           end
-          else if in_region t.uncached addr then
-            region_access ~gap ~cost:timing.Timing.uncached_cycles
+          else if in_region t.uncached addr then begin
+            incr region_n;
+            region_access s hook ~gap ~cost:timing.Timing.uncached_cycles
+          end
           else begin
-            let tint = lookup page in
-            cached_access ~addr ~phys:(physical t addr) ~kind ~gap
-              ~tlb_missed:!tlb_missed ~mask:(mask_of_tint tint)
-              ~stream:(is_stream tint)
+            let tint = lookup s tlb page in
+            cached_access t s hook ~addr ~kind ~gap ~tlb_missed:s.tlb_missed
+              ~mask:(find_tint s tint_table tint 0)
+              ~stream:(is_stream t ~streaming tint)
           end
         end
         else begin
           (* memo miss on a pure page: the real lookup, then install the
              page in the memo *)
-          let tint = lookup page in
-          let mask = mask_of_tint tint in
-          let stream = is_stream tint in
-          m_page.(j) <- page;
-          m_seq.(j) <- i;
-          m_mask.(j) <- mask;
-          m_stream.(j) <- stream;
-          m_pending.(j) <- false;
-          cached_access ~addr ~phys:(physical t addr) ~kind ~gap
-            ~tlb_missed:!tlb_missed ~mask ~stream
+          let tint = lookup s tlb page in
+          let mask = find_tint s tint_table tint 0 in
+          let stream = is_stream t ~streaming tint in
+          memoize s j ~page ~i ~mask ~stream;
+          cached_access t s hook ~addr ~kind ~gap ~tlb_missed:s.tlb_missed
+            ~mask ~stream
         end
       end
     in
@@ -605,26 +693,34 @@ let replay_loop t ~hook ~requests ~lat (p : Memtrace.Packed.t) =
       if i = !win_last then begin
         let latency =
           match hook with
-          | Blocking -> blocking_clock (i + 1) - !win_open
+          | Blocking ->
+              blocking_clock s ~hit_cycles ~gap_sum:!gap_sum
+                ~region_n:!region_n (i + 1 - pos)
+              - !win_open
           | Events _ -> !win_retire - !win_open
         in
         (match lat with None -> () | Some b -> Latency.Builder.push b latency);
         win_last := -1;
         incr next_req;
-        win_first := if !next_req < n_req then fst requests.(!next_req) else max_int
+        win_first :=
+          if !next_req < n_req then fst requests.(!next_req) else max_int
       end
     end
   done;
-  flush_touches ();
+  flush_touches s tlb;
+  let n = stop - pos in
   t.instructions <- t.instructions + !gap_sum + n;
   t.memory_accesses <- t.memory_accesses + n;
   t.scratchpad_accesses <- t.scratchpad_accesses + !scratchpad_n;
-  t.l2_hits <- t.l2_hits + !l2_hits;
-  t.l2_misses <- t.l2_misses + !l2_misses;
-  t.prefetches <- t.prefetches + !prefetches;
+  t.l2_hits <- t.l2_hits + s.l2_hits;
+  t.l2_misses <- t.l2_misses + s.l2_misses;
+  t.prefetches <- t.prefetches + s.prefetches;
   Vm.Tlb.note_hits tlb !memo_hits;
   match hook with
-  | Blocking -> t.cycles <- t.cycles + blocking_clock n
+  | Blocking ->
+      t.cycles <-
+        t.cycles
+        + blocking_clock s ~hit_cycles ~gap_sum:!gap_sum ~region_n:!region_n n
   | Events { engine; _ } ->
       (* fold the drained clock and the MSHR/DRAM counters into [t] so run
          deltas pick them up like any other counter *)
@@ -673,8 +769,11 @@ let replay ?requests t ~hook (p : Memtrace.Packed.t) =
       requests
   in
   let requests = Option.value requests ~default:[||] in
-  check_kinds p;
-  let stats = run_with t (fun () -> replay_loop t ~hook ~requests ~lat p) in
+  let stop = Memtrace.Packed.length p in
+  check_kinds p ~pos:0 ~stop;
+  let stats =
+    run_with t (fun () -> replay_loop t ~hook ~requests ~lat ~pos:0 ~stop p)
+  in
   match lat with
   | None -> stats
   | Some lat -> { stats with Run_stats.requests = Latency.Builder.build lat }
@@ -707,6 +806,17 @@ let run_packed_requests_events t ~events p ~requests =
     check_spans ~who:"System.run_packed_requests_events" p requests
   in
   replay ~requests t ~hook:(events_hook t events) p
+
+(* One slice of a packed trace on the blocking loop: like folding [access]
+   over it, with no snapshot — the round-robin scheduler makes one call per
+   slice, often of a handful of accesses. *)
+let replay_range t p ~pos ~stop =
+  if pos < 0 || pos > stop || stop > Memtrace.Packed.length p then
+    invalid_arg "System.replay_range: range out of bounds";
+  check_kinds p ~pos ~stop;
+  let before = t.cycles in
+  replay_loop t ~hook:Blocking ~requests:[||] ~lat:None ~pos ~stop p;
+  t.cycles - before
 
 let run_trace t trace = run_packed t (Memtrace.Packed.of_trace trace)
 

@@ -160,6 +160,19 @@ val run_packed_requests_events :
     double-counts under overlap). Span validation as in
     {!run_packed_requests}. *)
 
+val replay_range : t -> Memtrace.Packed.t -> pos:int -> stop:int -> int
+(** Replay accesses [\[pos, stop)] of a packed trace through the batched
+    loop under the blocking hook and return the cycles they consumed — the
+    sum {!access} would return over them, with the same effect on the
+    machine. No {!Run_stats} snapshot is taken and pending {!charge_cycles}
+    setup stays pending, as with {!access}; read counters through {!total}
+    or {!Cache.Sassoc.stats}. This is the round-robin scheduler's per-slice
+    entry: the loop's storage is allocated once per system, and every call
+    starts from an empty page memo and leaves no deferred TLB work behind,
+    so the caller may flush the TLB or re-tint pages between calls. Raises
+    [Invalid_argument] when the range falls outside the trace, or, before
+    any state changes, when one of its kind bytes is not 0–2. *)
+
 val total : t -> Run_stats.t
 (** Cumulative statistics since creation (preloads excluded). *)
 

@@ -459,6 +459,11 @@ let map_file path =
 (* {2 Streaming writer} *)
 
 module Writer = struct
+  (* Accesses buffered per column: each column fills its own chunk and
+     reaches its channel in one [output] call per chunk, not one per field
+     (every channel call takes the channel's lock). *)
+  let chunk = 1024
+
   type writer = {
     path : string;
     n : int;
@@ -467,7 +472,11 @@ module Writer = struct
     oc_gaps : out_channel;
     oc_kinds : out_channel;
     oc_tags : out_channel;
-    int8 : Bytes.t;
+    buf_addrs : Bytes.t;
+    buf_gaps : Bytes.t;
+    buf_kinds : Bytes.t;
+    buf_tags : Bytes.t;
+    mutable buffered : int;
     intern : (string, int) Hashtbl.t;
     mutable vars : string list; (* reversed first-appearance order *)
     mutable var_count : int;
@@ -498,7 +507,11 @@ module Writer = struct
       oc_gaps = channel_at path [ Unix.O_WRONLY ] lay.gaps_off;
       oc_kinds = channel_at path [ Unix.O_WRONLY ] lay.kinds_off;
       oc_tags = channel_at path [ Unix.O_WRONLY ] lay.tags_off;
-      int8 = Bytes.create 8;
+      buf_addrs = Bytes.create (8 * chunk);
+      buf_gaps = Bytes.create (8 * chunk);
+      buf_kinds = Bytes.create chunk;
+      buf_tags = Bytes.create (8 * chunk);
+      buffered = 0;
       intern = Hashtbl.create 16;
       vars = [];
       var_count = 0;
@@ -506,9 +519,15 @@ module Writer = struct
       closed = false;
     }
 
-  let output_int w oc v =
-    Bytes.set_int64_le w.int8 0 (Int64.of_int v);
-    output_bytes oc w.int8
+  let flush_chunk w =
+    let m = w.buffered in
+    if m > 0 then begin
+      output w.oc_addrs w.buf_addrs 0 (8 * m);
+      output w.oc_gaps w.buf_gaps 0 (8 * m);
+      output w.oc_kinds w.buf_kinds 0 m;
+      output w.oc_tags w.buf_tags 0 (8 * m);
+      w.buffered <- 0
+    end
 
   let tag_of w = function
     | None -> -1
@@ -529,11 +548,14 @@ module Writer = struct
     if w.emitted >= w.n then
       invalid_arg
         (Printf.sprintf "Packed.Writer.emit: declared length %d exceeded" w.n);
-    output_int w w.oc_addrs addr;
-    output_int w w.oc_gaps gap;
-    output_char w.oc_kinds (Char.chr (kind_code kind));
-    output_int w w.oc_tags (tag_of w var);
-    w.emitted <- w.emitted + 1
+    let i = w.buffered in
+    Bytes.set_int64_le w.buf_addrs (8 * i) (Int64.of_int addr);
+    Bytes.set_int64_le w.buf_gaps (8 * i) (Int64.of_int gap);
+    Bytes.set w.buf_kinds i (Char.chr (kind_code kind));
+    Bytes.set_int64_le w.buf_tags (8 * i) (Int64.of_int (tag_of w var));
+    w.buffered <- i + 1;
+    w.emitted <- w.emitted + 1;
+    if w.buffered = chunk then flush_chunk w
 
   let add w (a : Access.t) = emit w ~kind:a.kind ?var:a.var ~gap:a.gap a.addr
   let emitted w = w.emitted
@@ -545,6 +567,7 @@ module Writer = struct
       invalid_arg
         (Printf.sprintf "Packed.Writer.close: emitted %d of declared %d"
            w.emitted w.n);
+    flush_chunk w;
     close_out w.oc_addrs;
     close_out w.oc_gaps;
     close_out w.oc_kinds;

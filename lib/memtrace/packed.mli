@@ -130,6 +130,10 @@ val map_file : string -> t
 module Writer : sig
   type t
 
+  val chunk : int
+  (** Accesses each column buffers between writes to its stream. The file
+      is byte-identical to {!write_file}'s, whatever the trace's length. *)
+
   val create : string -> length:int -> t
   (** Start writing a trace of exactly [length] accesses. Overwrites. *)
 

@@ -10,7 +10,12 @@
     TLB (an untagged TLB would require it; the default models an
     ASID-tagged TLB, so the cache-interference effect the paper plots is
     isolated from TLB noise). Cache contents always persist across
-    switches. *)
+    switches.
+
+    Jobs run as packed traces on the machine's batched replay loop: each
+    slice is one {!Machine.System.replay_range} call over the accesses the
+    gap column puts in the quantum, and a job's misses are the shared
+    cache's miss-count delta across its slices. *)
 
 type job = {
   name : string;
@@ -34,6 +39,21 @@ type outcome = {
   total_cycles : int;
 }
 
+val run_packed :
+  ?flush_tlb_on_switch:bool ->
+  ?switch_cycles:int ->
+  system:Machine.System.t ->
+  quantum:int ->
+  Epoch.job list ->
+  outcome
+(** Defaults: TLB not flushed (tagged entries), [switch_cycles = 50]. [quantum]
+    must be positive; it is measured in instructions ([gap]s included): a
+    slice ends at the first access that brings its instructions to
+    [quantum] or more. Jobs whose traces are exhausted drop out of the
+    rotation; the run ends when all are done. The outcome equals replaying
+    each slice access by access through {!Machine.System.access}. Build the
+    jobs once and reuse them across runs: replay never mutates them. *)
+
 val run :
   ?flush_tlb_on_switch:bool ->
   ?switch_cycles:int ->
@@ -41,9 +61,7 @@ val run :
   quantum:int ->
   job list ->
   outcome
-(** Defaults: TLB not flushed (tagged entries), [switch_cycles = 50]. [quantum]
-    must be positive; it is measured in instructions ([gap]s included). Jobs
-    whose traces are exhausted drop out of the rotation; the run ends when
-    all are done. *)
+(** {!run_packed} over boxed traces, each converted with
+    {!Memtrace.Packed.of_trace}. *)
 
 val find_job : outcome -> string -> job_stats option

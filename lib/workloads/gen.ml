@@ -55,7 +55,9 @@ let zipf_cdf ~item_count ~theta =
   let h = !acc in
   Array.map (fun c -> c /. h) cdf
 
-let zipf_search cdf u =
+(* Keep the annotations: without them every probe boxes its float for a
+   polymorphic compare. *)
+let zipf_search (cdf : float array) (u : float) =
   let n = Array.length cdf in
   let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do

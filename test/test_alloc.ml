@@ -186,6 +186,36 @@ let test_run_packed_requests_events () =
   check_wrapper "run_packed_requests_events" (fun sys p ->
       ignore (System.run_packed_requests_events sys ~events p ~requests))
 
+(* [replay_range] over one copy of the trace and over four must allocate
+   the same: a range call's cost is fixed, whatever the range's length. *)
+let test_replay_range () =
+  let p = trace 4 in
+  let one = Packed.length p / 4 in
+  let sys = system () in
+  let range stop () = ignore (System.replay_range sys p ~pos:0 ~stop : int) in
+  (* the first call allocates the system's loop state *)
+  range 1 ();
+  let short = words (range one) in
+  Alcotest.(check (float 0.)) "replay_range: words of 3 extra copies" short
+    (words (range (4 * one)));
+  Alcotest.(check (float 0.)) "replay_range: words of one access" short
+    (words (range 1))
+
+(* --- Gen.iter_accesses --- *)
+
+(* Minor words per access of a Zipf stream: the difference of two lengths
+   cancels the CDF's fixed cost. The PRNG's boxed [int64] draws account for
+   most of what is left; the rank search itself allocates nothing. *)
+let test_gen_zipf () =
+  let stream = Workloads.Gen.Zipf { items = 1 lsl 12; theta = 0.99 } in
+  let run n () =
+    Workloads.Gen.iter_accesses ~seed:1 ~n stream (fun ~kind:_ ~gap:_ _ -> ())
+  in
+  let per_access = (words (run 20_000) -. words (run 10_000)) /. 10_000. in
+  if per_access >= 28. then
+    Alcotest.failf "Zipf draw allocates %.1f words per access (limit 28)"
+      per_access
+
 let suites =
   [
     ( "alloc.tlb",
@@ -215,5 +245,8 @@ let suites =
         Alcotest.test_case "run_packed_events" `Quick test_run_packed_events;
         Alcotest.test_case "run_packed_requests_events" `Quick
           test_run_packed_requests_events;
+        Alcotest.test_case "replay_range" `Quick test_replay_range;
       ] );
+    ( "alloc.gen",
+      [ Alcotest.test_case "iter_accesses zipf" `Quick test_gen_zipf ] );
   ]

@@ -87,6 +87,32 @@ let test_lru_set_basic () =
   check_bool "negative key rejected" true
     (try ignore (Lru_set.touch s (-1)); false with Invalid_argument _ -> true)
 
+(* A full set cleared in insertion order: keys sharing a probe run are
+   emptied front to back, so a clear that opened a hole before finding the
+   run's later keys would leave their entries behind. Every key must then
+   come back as a fresh insertion, and go once removed. *)
+let test_lru_set_clear_probe_runs () =
+  let cap = 256 in
+  (* scattered keys: consecutive ones hash too evenly to share runs *)
+  let rng = Random.State.make [| 7 |] in
+  let keys =
+    List.sort_uniq compare (List.init cap (fun _ -> Random.State.bits rng))
+  in
+  let s = Lru_set.create ~capacity:cap in
+  List.iter (fun k -> ignore (Lru_set.touch s k)) keys;
+  List.iter (fun k -> ignore (Lru_set.touch s k)) (List.rev keys);
+  Lru_set.clear s;
+  List.iter
+    (fun k ->
+      check_int (Printf.sprintf "key %d inserted" k) Lru_set.inserted
+        (Lru_set.touch s k))
+    keys;
+  List.iter
+    (fun k ->
+      check_bool (Printf.sprintf "key %d removed" k) true (Lru_set.remove s k);
+      check_bool (Printf.sprintf "key %d gone" k) false (Lru_set.mem s k))
+    keys
+
 let test_lru_set_remove_clear () =
   let s = Lru_set.create ~capacity:2 in
   ignore (Lru_set.touch s 10);
@@ -135,23 +161,29 @@ let prop_lru_set_model =
         keys)
 
 let prop_lru_set_model_removes =
-  (* Touches and removes over a wide key range, so the flat index sees
-     collisions, wrapped probe runs and deletions in the middle of runs. *)
+  (* Touches, removes and the odd clear over a wide key range, so the flat
+     index sees collisions, wrapped probe runs and deletions in the middle
+     of runs, and a clear meets whatever probe runs the others left. *)
   QCheck.Test.make ~name:"lru_set matches reference model under removes"
     ~count:300
     QCheck.(
       pair (int_range 1 40)
         (list_of_size (QCheck.Gen.int_bound 400)
-           (pair bool (oneof [ int_bound 60; int_bound 1_000_000 ]))))
+           (pair (int_bound 40) (oneof [ int_bound 60; int_bound 1_000_000 ]))))
     (fun (cap, ops) ->
       let s = Lru_set.create ~capacity:cap in
       let model = ref [] in
       List.for_all
-        (fun (is_remove, k) ->
-          if is_remove then begin
+        (fun (op, k) ->
+          if op = 0 then begin
+            Lru_set.clear s;
+            model := [];
+            true
+          end
+          else if op <= 20 then begin
             let present = List.mem k !model in
             model := List.filter (fun x -> x <> k) !model;
-            Lru_set.remove s k = present
+            Lru_set.remove s k = present && not (Lru_set.mem s k)
           end
           else begin
             ignore (Lru_set.touch s k);
@@ -718,6 +750,8 @@ let suites =
       [
         Alcotest.test_case "basic" `Quick test_lru_set_basic;
         Alcotest.test_case "remove/clear" `Quick test_lru_set_remove_clear;
+        Alcotest.test_case "clear across probe runs" `Quick
+          test_lru_set_clear_probe_runs;
       ] );
     ( "cache.sassoc",
       [

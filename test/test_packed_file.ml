@@ -219,6 +219,34 @@ let test_writer_equals_write_file () =
           check_bool "maps back equal" true
             (Packed.equal t (Packed.map_file path))))
 
+(* Lengths around the writer's chunk size, with kinds, gaps and var tags
+   varying per access: every length flushes a different partial chunk. *)
+let test_writer_chunk_edges () =
+  let chunk = Packed.Writer.chunk in
+  let vars = [| None; Some "x"; Some "y"; None; Some "zz" |] in
+  let trace n =
+    Packed.of_list
+      (List.init n (fun i ->
+           Access.make
+             ~kind:(Packed.kind_of_code (i mod 3))
+             ?var:vars.(i mod Array.length vars)
+             ~gap:(i mod 7) (i * 24)))
+  in
+  List.iter
+    (fun n ->
+      with_tmp "chunk_writer" (fun path ->
+          with_tmp "chunk_file" (fun path' ->
+              let t = trace n in
+              Packed.write_file path' t;
+              let w = Packed.Writer.create path ~length:n in
+              Packed.iter (Packed.Writer.add w) t;
+              Packed.Writer.close w;
+              check_bool
+                (Printf.sprintf "length %d: byte-identical to write_file" n)
+                true
+                (read_bytes path = read_bytes path'))))
+    [ 0; 1; chunk - 1; chunk; chunk + 1 ]
+
 let test_writer_misuse () =
   with_tmp "misuse" (fun path ->
       let w = Packed.Writer.create path ~length:2 in
@@ -305,6 +333,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_mmap_roundtrip;
         Alcotest.test_case "Writer = write_file byte-for-byte" `Quick
           test_writer_equals_write_file;
+        Alcotest.test_case "Writer = write_file at chunk edges" `Quick
+          test_writer_chunk_edges;
         Alcotest.test_case "Writer misuse rejected" `Quick test_writer_misuse;
         Alcotest.test_case "text loader names packed files" `Quick
           test_text_loader_names_packed_files;

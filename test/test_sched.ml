@@ -139,6 +139,150 @@ let test_partitioned_job_flat_across_quanta () =
   in
   check_bool "mapped job less quantum-sensitive" true (spread true < spread false)
 
+(* --- the per-access reference --- *)
+
+(* The reference scheduler: every access goes through the scalar
+   [System.access], one at a time, and a job's misses are the shared
+   cache's miss delta across each access. [RR.run], which replays each
+   slice as one range of a packed trace, must reproduce it exactly. *)
+type ref_job = {
+  def : RR.job;
+  mutable pos : int;
+  mutable instructions : int;
+  mutable cycles : int;
+  mutable memory_accesses : int;
+  mutable misses : int;
+  mutable slices : int;
+}
+
+let reference_run ?(flush_tlb_on_switch = false) ?(switch_cycles = 50) ~system
+    ~quantum jobs =
+  let arr =
+    Array.of_list
+      (List.map
+         (fun def ->
+           {
+             def;
+             pos = 0;
+             instructions = 0;
+             cycles = 0;
+             memory_accesses = 0;
+             misses = 0;
+             slices = 0;
+           })
+         jobs)
+  in
+  let n = Array.length arr in
+  let done_ j = j.pos >= Trace.length j.def.RR.trace in
+  let switches = ref 0 and total_cycles = ref 0 in
+  let cache_stats = Cache.Sassoc.stats (Machine.System.cache system) in
+  let turn = ref 0 and last_job = ref (-1) in
+  while not (Array.for_all done_ arr) do
+    let idx = !turn mod n in
+    let j = arr.(idx) in
+    incr turn;
+    if not (done_ j) then begin
+      j.slices <- j.slices + 1;
+      if !last_job >= 0 && !last_job <> idx then begin
+        incr switches;
+        if flush_tlb_on_switch then Machine.System.flush_tlb system;
+        total_cycles := !total_cycles + switch_cycles
+      end;
+      last_job := idx;
+      let slice_insns = ref 0 in
+      while (not (done_ j)) && !slice_insns < quantum do
+        let a = Trace.get j.def.RR.trace j.pos in
+        let misses_before = cache_stats.Cache.Stats.misses in
+        let c = Machine.System.access system a in
+        j.pos <- j.pos + 1;
+        let insns = Access.instructions a in
+        slice_insns := !slice_insns + insns;
+        j.instructions <- j.instructions + insns;
+        j.cycles <- j.cycles + c;
+        j.memory_accesses <- j.memory_accesses + 1;
+        j.misses <- j.misses + (cache_stats.Cache.Stats.misses - misses_before);
+        total_cycles := !total_cycles + c
+      done
+    end
+  done;
+  {
+    RR.per_job =
+      Array.to_list
+        (Array.map
+           (fun j ->
+             {
+               RR.job = j.def.RR.name;
+               instructions = j.instructions;
+               cycles = j.cycles;
+               memory_accesses = j.memory_accesses;
+               misses = j.misses;
+               slices = j.slices;
+             })
+           arr);
+    switches = !switches;
+    total_cycles = !total_cycles;
+  }
+
+(* 1-4 jobs of up to 80 accesses over 16 KiB (64 pages against a 4-entry
+   TLB, 8x the cache), with random kinds, gaps and var tags; a quantum of
+   1-64 instructions or one larger than any job; flush-on-switch on or off;
+   a standard or a column-mapped cache. *)
+let arb_rr_case =
+  let open QCheck.Gen in
+  let access =
+    map4
+      (fun addr kind gap var ->
+        Access.make
+          ~kind:(Memtrace.Packed.kind_of_code kind)
+          ?var:(if var < 3 then Some [| "a"; "b"; "c" |].(var) else None)
+          ~gap addr)
+      (int_bound 16383) (int_bound 2) (int_bound 5) (int_bound 4)
+  in
+  let job i =
+    map
+      (fun l -> { RR.name = string_of_int i; trace = Trace.of_list l })
+      (list_size (int_bound 80) access)
+  in
+  let jobs = int_range 1 4 >>= fun k -> flatten_l (List.init k job) in
+  let quantum = oneof [ int_range 1 64; return 1_000_000 ] in
+  quad jobs quantum bool bool
+  |> QCheck.make ~print:(fun (jobs, quantum, flush, mapped) ->
+         Printf.sprintf "quantum %d, flush %b, mapped %b, jobs [%s]" quantum
+           flush mapped
+           (String.concat "; "
+              (List.map
+                 (fun j ->
+                   Format.asprintf "%s: %a" j.RR.name Trace.pp j.RR.trace)
+                 jobs)))
+
+let rr_system ~mapped =
+  let system =
+    Machine.System.create
+      (Machine.System.config ~page_size:256 ~tlb_entries:4 cache)
+  in
+  if mapped then begin
+    let m = Machine.System.mapping system in
+    let a = Vm.Tint.make "A" in
+    ignore (Vm.Mapping.retint_region m ~base:0 ~size:4096 a);
+    Vm.Mapping.remap_tint m a (Cache.Bitmask.of_list [ 0; 1 ]);
+    Vm.Mapping.remap_tint m Vm.Tint.default (Cache.Bitmask.of_list [ 2; 3 ])
+  end;
+  system
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"round_robin: range replay = per-access reference"
+    ~count:300 arb_rr_case (fun (jobs, quantum, flush_tlb_on_switch, mapped) ->
+      let got =
+        RR.run ~flush_tlb_on_switch ~system:(rr_system ~mapped) ~quantum jobs
+      in
+      let want =
+        reference_run ~flush_tlb_on_switch ~system:(rr_system ~mapped)
+          ~quantum jobs
+      in
+      got.RR.per_job = want.RR.per_job
+      && got.RR.switches = want.RR.switches
+      && got.RR.total_cycles = want.RR.total_cycles)
+
 let suites =
   [
     ( "sched.round_robin",
@@ -153,5 +297,6 @@ let suites =
         Alcotest.test_case "tlb flush cost" `Quick test_tlb_flush_on_switch_costs;
         Alcotest.test_case "quantum-dependent interference" `Quick test_interference_depends_on_quantum;
         Alcotest.test_case "partitioned job flat" `Quick test_partitioned_job_flat_across_quanta;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

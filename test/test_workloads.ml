@@ -153,6 +153,25 @@ let test_lz77_deterministic () =
   let t2 = Lz77.trace ~seed:9 ~input_len:1024 ~base:0 () in
   check_bool "same seed same trace" true (Trace.equal t1 t2)
 
+(* The experiments build their LZ77 jobs with [packed_trace]: it must equal
+   packing [trace] for the (seed, length, base) of the multitask-domains
+   jobs and the MRC-scaling trace (Fig. 5's jobs are pinned by its output,
+   test/fig5.t). *)
+let test_lz77_packed_equals_trace () =
+  let cases =
+    [ (1, 4096, 0x000000); (2, 4096, 0x100000); (3, 4096, 0x200000);
+      (11, 8192, 0) ]
+  in
+  List.iter
+    (fun (seed, input_len, base) ->
+      check_bool
+        (Printf.sprintf "seed %d, %d bytes, base 0x%x" seed input_len base)
+        true
+        (Memtrace.Packed.equal
+           (Lz77.packed_trace ~seed ~input_len ~base ())
+           (Memtrace.Packed.of_trace (Lz77.trace ~seed ~input_len ~base ()))))
+    cases
+
 let test_lz77_match_distances_bounded () =
   let input = Lz77.synthetic_input ~seed:5 ~len:8192 in
   let r = Lz77.compress ~input () in
@@ -315,6 +334,8 @@ let suites =
         Alcotest.test_case "compresses" `Quick test_lz77_actually_compresses;
         Alcotest.test_case "trace structure" `Quick test_lz77_trace_structure;
         Alcotest.test_case "deterministic" `Quick test_lz77_deterministic;
+        Alcotest.test_case "packed_trace = packed trace" `Quick
+          test_lz77_packed_equals_trace;
         Alcotest.test_case "match bounds" `Quick test_lz77_match_distances_bounded;
         Alcotest.test_case "oversized input" `Quick test_lz77_oversized_input_rejected;
       ] );
