@@ -346,6 +346,10 @@ let trace_info_cmd =
     let packed_format = Memtrace.Packed.is_packed_file input in
     let packed = Memtrace.Trace_file.load_packed ~path:input in
     let n = Memtrace.Packed.length packed in
+    (try Memtrace.Packed.check_kinds packed ~pos:0 ~stop:n
+     with Invalid_argument msg ->
+       Format.eprintf "%s: %s@." input msg;
+       exit 1);
     let addrs = Memtrace.Packed.raw_addrs packed in
     let kinds = Memtrace.Packed.raw_kinds packed in
     let lo = ref max_int and hi = ref min_int and writes = ref 0 in
@@ -353,7 +357,8 @@ let trace_info_cmd =
       let a = Bigarray.Array1.unsafe_get addrs i in
       if a < !lo then lo := a;
       if a > !hi then hi := a;
-      if Bigarray.Array1.unsafe_get kinds i = '\001' then incr writes
+      if Memtrace.Packed.kind_at kinds i = Memtrace.Access.Write then
+        incr writes
     done;
     Format.fprintf ppf "format:       %s@."
       (if packed_format then "packed binary (mmapped)" else "text v1");
@@ -512,68 +517,77 @@ let mrc_cmd =
   let run file line_size sets ways sample_rate budget seed compare jobs
       window epochs =
     let packed = Memtrace.Trace_file.load_packed ~path:file in
-    let exact_mrc =
-      if sample_rate = None || compare then begin
-        let engine =
-          Cache.Stack_dist.of_packed_parallel ~jobs ~line_size ~sets
-            ~max_ways:ways packed
-        in
-        Some (Cache.Stack_dist.mrc engine)
-      end
-      else None
+    let n = Memtrace.Packed.length packed in
+    (* Every engine rejects a corrupt kind byte before it counts anything;
+       all engine work ends before the first line is printed, so a rejected
+       trace prints one error line and nothing else. *)
+    let guard f =
+      try f ()
+      with Invalid_argument msg ->
+        Format.eprintf "%s: %s@." file msg;
+        exit 1
     in
-    match window with
-    | Some w ->
+    (* the exact curve, built only where it is printed: exact mode and
+       --compare *)
+    let exact () =
+      Cache.Stack_dist.mrc
+        (Cache.Stack_dist.of_packed_parallel ~jobs ~line_size ~sets
+           ~max_ways:ways packed)
+    in
+    let print_curve mrc =
+      for a = 1 to ways do
+        Format.fprintf ppf "  %2d way%s  %.6f@." a
+          (if a = 1 then " " else "s")
+          mrc.(a)
+      done
+    in
+    match (window, sample_rate) with
+    | Some w, _ ->
         let win =
-          Cache.Stack_dist.Windowed.create ~window:w ~epochs ~line_size ~sets
-            ~max_ways:ways ()
+          guard (fun () ->
+              let win =
+                Cache.Stack_dist.Windowed.create ~window:w ~epochs ~line_size
+                  ~sets ~max_ways:ways ()
+              in
+              Cache.Stack_dist.Windowed.observe_packed win packed;
+              win)
         in
-        Cache.Stack_dist.Windowed.observe_packed win packed;
-        let mrc = Cache.Stack_dist.Windowed.mrc_now win in
         Format.fprintf ppf
           "%d accesses, rolling miss-ratio curve over the last %d (window \
            %d, %d epochs of %d, %d retired):@."
-          (Memtrace.Packed.length packed)
+          n
           (Cache.Stack_dist.Windowed.accesses_in_window win)
           w epochs
           (Cache.Stack_dist.Windowed.epoch_length win)
           (Cache.Stack_dist.Windowed.retired_epochs win);
-        for a = 1 to ways do
-          Format.fprintf ppf "  %2d way%s  %.6f@." a
-            (if a = 1 then " " else "s")
-            mrc.(a)
-        done
-    | None -> (
-    match sample_rate with
-    | None ->
-        let mrc = Option.get exact_mrc in
-        Format.fprintf ppf "%d accesses, exact miss-ratio curve:@."
-          (Memtrace.Packed.length packed);
-        for a = 1 to ways do
-          Format.fprintf ppf "  %2d way%s  %.6f@." a
-            (if a = 1 then " " else "s")
-            mrc.(a)
-        done
-    | Some rate ->
-        let sampled =
-          if jobs = 1 then begin
-            let e =
-              Cache.Stack_dist.Sampled.create ~seed ?budget ~rate ~line_size
-                ~sets ~max_ways:ways ()
-            in
-            Cache.Stack_dist.Sampled.access_packed e packed;
-            e
-          end
-          else
-            Cache.Stack_dist.Sampled.of_packed_parallel ~seed ~jobs ~rate
-              ~line_size ~sets ~max_ways:ways packed
+        print_curve (Cache.Stack_dist.Windowed.mrc_now win)
+    | None, None ->
+        let mrc = guard exact in
+        Format.fprintf ppf "%d accesses, exact miss-ratio curve:@." n;
+        print_curve mrc
+    | None, Some rate ->
+        let sampled, exact_mrc =
+          guard (fun () ->
+              let sampled =
+                if jobs = 1 then begin
+                  let e =
+                    Cache.Stack_dist.Sampled.create ~seed ?budget ~rate
+                      ~line_size ~sets ~max_ways:ways ()
+                  in
+                  Cache.Stack_dist.Sampled.access_packed e packed;
+                  e
+                end
+                else
+                  Cache.Stack_dist.Sampled.of_packed_parallel ~seed ~jobs ~rate
+                    ~line_size ~sets ~max_ways:ways packed
+              in
+              (sampled, if compare then Some (exact ()) else None))
         in
         let est = Cache.Stack_dist.Sampled.mrc_est sampled in
         Format.fprintf ppf
           "%d accesses, sampled miss-ratio curve (rate %.4f requested, %.4f \
            effective: %d/%d sets, %d accesses sampled%s):@."
-          (Memtrace.Packed.length packed)
-          rate
+          n rate
           (Cache.Stack_dist.Sampled.effective_rate sampled)
           (Cache.Stack_dist.Sampled.selected_sets sampled)
           sets
@@ -581,12 +595,7 @@ let mrc_cmd =
           (let ev = Cache.Stack_dist.Sampled.set_evictions sampled in
            if ev = 0 then "" else Printf.sprintf ", %d budget evictions" ev);
         (match exact_mrc with
-        | None ->
-            for a = 1 to ways do
-              Format.fprintf ppf "  %2d way%s  %.6f@." a
-                (if a = 1 then " " else "s")
-                est.(a)
-            done
+        | None -> print_curve est
         | Some mrc ->
             let sum = ref 0. in
             for a = 1 to ways do
@@ -598,7 +607,7 @@ let mrc_cmd =
                 est.(a) mrc.(a) e
             done;
             Format.fprintf ppf "mean absolute error: %.6f@."
-              (!sum /. float_of_int ways)))
+              (!sum /. float_of_int ways))
   in
   let run_checked file line_size sets ways sample_rate budget seed compare
       jobs window epochs =

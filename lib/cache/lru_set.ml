@@ -6,8 +6,9 @@
    multiplicative hash of the key, with backward-shift deletion so no
    tombstones build up. The low load keeps probe runs — and the branch
    mispredictions that end them — short: a TLB's 32 entries take a 2 KB
-   index. Unlike a polymorphic [Hashtbl] it never calls [caml_hash] and
-   never allocates a bucket, so touching the set is allocation-free. *)
+   index. Unlike the stdlib's polymorphic hash table it never calls
+   [caml_hash] and never allocates a bucket, so touching the set is
+   allocation-free. *)
 type t = {
   capacity : int;
   keys : int array;

@@ -56,7 +56,7 @@ type t = {
   dirty : Bytes.t;
   policy : Policy.t;
   stats : Stats.t;
-  seen_lines : (int, unit) Hashtbl.t;  (* for cold-miss detection *)
+  seen_lines : Line_set.t;  (* for cold-miss detection *)
   shadow : Lru_set.t option;  (* fully-associative same-capacity LRU *)
   mutable evicted_line : int;
       (* line displaced by the most recent install; -1 when it filled an
@@ -86,7 +86,7 @@ let create cfg =
     dirty = Bytes.make n '\000';
     policy = Policy.create cfg.policy ~sets:cfg.sets ~ways:cfg.ways;
     stats = Stats.create ~ways:cfg.ways;
-    seen_lines = (if cfg.classify then Hashtbl.create 4096 else Hashtbl.create 1);
+    seen_lines = Line_set.create ();
     shadow = (if cfg.classify then Some (Lru_set.create ~capacity:n) else None);
     evicted_line = -1;
     writeback_line = -1;
@@ -130,11 +130,8 @@ let classify_miss t line =
   match t.shadow with
   | None -> ()
   | Some shadow ->
-      let cold = not (Hashtbl.mem t.seen_lines line) in
-      if cold then begin
-        Hashtbl.add t.seen_lines line ();
-        t.stats.cold_misses <- t.stats.cold_misses + 1
-      end;
+      let cold = Line_set.add t.seen_lines line in
+      if cold then t.stats.cold_misses <- t.stats.cold_misses + 1;
       let shadow_hit = Lru_set.mem shadow line in
       if not cold then
         if shadow_hit then

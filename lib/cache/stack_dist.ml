@@ -25,7 +25,7 @@ type t = {
   mutable cold : int;
   mutable overflow : int;
   mutable n_accesses : int;
-  seen : (int, unit) Hashtbl.t;  (* lines ever referenced (cold detection) *)
+  seen : Line_set.t;  (* lines ever referenced (cold detection) *)
 }
 
 let create ?translate ~line_size ~sets ~max_ways () =
@@ -49,7 +49,7 @@ let create ?translate ~line_size ~sets ~max_ways () =
     cold = 0;
     overflow = 0;
     n_accesses = 0;
-    seen = Hashtbl.create 1024;
+    seen = Line_set.create ();
   }
 
 let max_ways t = t.w
@@ -85,13 +85,16 @@ let touch_raw t ~write ~counted ~traced addr =
     incr i
   done;
   let res = ref (if traced > 0 && !d >= 0 && !d < traced then 1 else 0) in
-  if counted then begin
-    t.n_accesses <- t.n_accesses + 1;
-    if !d >= 0 then t.hist.(!d) <- t.hist.(!d) + 1
-    else if Hashtbl.mem t.seen line then t.overflow <- t.overflow + 1
-    else t.cold <- t.cold + 1
-  end;
-  if not (Hashtbl.mem t.seen line) then Hashtbl.add t.seen line ();
+  if counted then t.n_accesses <- t.n_accesses + 1;
+  (* A line in the stack has been seen; only a stack miss asks the set,
+     whose answer splits it into cold and overflow. *)
+  if !d >= 0 then begin
+    if counted then t.hist.(!d) <- t.hist.(!d) + 1
+  end
+  else if Line_set.add t.seen line then begin
+    if counted then t.cold <- t.cold + 1
+  end
+  else if counted then t.overflow <- t.overflow + 1;
   (* the accessed line's own dirtiness before the shift overwrites its slot *)
   let old_dirty = if !d >= 0 then Array.unsafe_get t.dirty_min (base + !d) else w + 1 in
   (* Shift positions 0..shift-1 down one. The line leaving position a-1 for
@@ -136,13 +139,22 @@ let access t ~kind addr =
 
 let preload t addr = touch t ~write:false ~counted:false addr
 
+(* Every packed feed decodes its whole range with the trace's one kind
+   decoder before it touches an engine, so a corrupt kind byte is rejected
+   with the engine as it was. *)
+let kind_column p =
+  Memtrace.Packed.check_kinds p ~pos:0 ~stop:(Memtrace.Packed.length p);
+  Memtrace.Packed.raw_kinds p
+
+let is_write kinds i = Memtrace.Packed.kind_at kinds i = Memtrace.Access.Write
+
 let access_packed t p =
   let n = Memtrace.Packed.length p in
   let addrs = Memtrace.Packed.raw_addrs p in
-  let kinds = Memtrace.Packed.raw_kinds p in
+  let kinds = kind_column p in
   for i = 0 to n - 1 do
     touch t
-      ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
+      ~write:(is_write kinds i)
       ~counted:true
       (Bigarray.Array1.unsafe_get addrs i)
   done
@@ -158,7 +170,7 @@ let reset_counts t =
 let accesses t = t.n_accesses
 let cold_misses t = t.cold
 let overflows t = t.overflow
-let distinct_lines t = Hashtbl.length t.seen
+let distinct_lines t = Line_set.length t.seen
 let histogram t = Array.copy t.hist
 
 let check_ways t a name =
@@ -224,11 +236,11 @@ let per_tag_of_packed ?translate ~line_size ~sets ~max_ways p =
   in
   let n = Memtrace.Packed.length p in
   let addrs = Memtrace.Packed.raw_addrs p in
-  let kinds = Memtrace.Packed.raw_kinds p in
+  let kinds = kind_column p in
   let tags = Memtrace.Packed.raw_tags p in
   for i = 0 to n - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i in
-    let write = Bigarray.Array1.unsafe_get kinds i = '\001' in
+    let write = is_write kinds i in
     touch global ~write ~counted:true addr;
     let tag = Bigarray.Array1.unsafe_get tags i in
     if tag >= 0 then touch (snd engines.(tag)) ~write ~counted:true addr
@@ -245,9 +257,11 @@ let per_tag_of_packed ?translate ~line_size ~sets ~max_ways p =
    accesses of the sets it owns, and the merged counters are pure additions
    of disjoint per-set counts, so the merged readings are byte-identical to
    the serial engine's for any [K]. The cold/overflow split survives too:
-   [seen] is keyed by whole line addresses and a line belongs to exactly one
-   set, so the shard [seen] tables are disjoint and their union is the
-   serial table. *)
+   a line belongs to exactly one set, so the shards' [seen] lines are
+   disjoint and their union is the serial set. Their blocks are not: a
+   32-line block spans 32 consecutive sets, which [set mod K] deals out to
+   every shard, so the union ORs the blocks' words and counts only the
+   bits that are new. *)
 
 let check_shard ~shards ~shard ~sets name =
   if shards < 1 then
@@ -266,14 +280,14 @@ let access_packed_sharded t ~shards ~shard p =
   check_shard ~shards ~shard ~sets:t.n_sets "access_packed_sharded";
   let n = Memtrace.Packed.length p in
   let addrs = Memtrace.Packed.raw_addrs p in
-  let kinds = Memtrace.Packed.raw_kinds p in
+  let kinds = kind_column p in
   for i = 0 to n - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i in
     let taddr = match t.translate with None -> addr | Some f -> f addr in
     if ((taddr lsr t.line_shift) land t.set_mask) mod shards = shard then
       ignore
         (touch_raw t
-           ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
+           ~write:(is_write kinds i)
            ~counted:true ~traced:0 taddr)
   done
 
@@ -310,10 +324,7 @@ let merge_into dst src =
   dst.cold <- dst.cold + src.cold;
   dst.overflow <- dst.overflow + src.overflow;
   dst.n_accesses <- dst.n_accesses + src.n_accesses;
-  Hashtbl.iter
-    (fun line () ->
-      if not (Hashtbl.mem dst.seen line) then Hashtbl.add dst.seen line ())
-    src.seen
+  Line_set.union_into dst.seen src.seen
 
 (* Chunked [Packed.sub] views keep every worker streaming the (possibly
    mmap'd) columns a bounded window at a time, the same access pattern the
@@ -354,6 +365,9 @@ let of_packed_parallel ?translate ?on_shard ~jobs ~line_size ~sets ~max_ways p
     t
   end
   else begin
+    (* validated whole before any domain starts: an error names the access
+       by its index in [p], not in a chunk *)
+    ignore (kind_column p);
     let worker shard () =
       let t = create ?translate ~line_size ~sets ~max_ways () in
       feed_sharded_chunked t ~shards:jobs ~shard p;
@@ -527,7 +541,7 @@ module Sampled = struct
     if p >= 0 then begin
       let e = Array.unsafe_get t.entries p in
       touch e.engine ~write ~counted:true taddr;
-      let d = Hashtbl.length e.engine.seen in
+      let d = Line_set.length e.engine.seen in
       if d <> e.distinct then begin
         t.total_distinct <- t.total_distinct + (d - e.distinct);
         e.distinct <- d;
@@ -547,10 +561,10 @@ module Sampled = struct
   let access_packed t p =
     let n = Memtrace.Packed.length p in
     let addrs = Memtrace.Packed.raw_addrs p in
-    let kinds = Memtrace.Packed.raw_kinds p in
+    let kinds = kind_column p in
     for i = 0 to n - 1 do
       feed t
-        ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
+        ~write:(is_write kinds i)
         (Bigarray.Array1.unsafe_get addrs i)
     done
 
@@ -571,7 +585,7 @@ module Sampled = struct
     check_shard ~shards ~shard ~sets:t.n_sets "Sampled.access_packed_sharded";
     let n = Memtrace.Packed.length p in
     let addrs = Memtrace.Packed.raw_addrs p in
-    let kinds = Memtrace.Packed.raw_kinds p in
+    let kinds = kind_column p in
     for i = 0 to n - 1 do
       let addr = Bigarray.Array1.unsafe_get addrs i in
       let taddr = match t.translate with None -> addr | Some f -> f addr in
@@ -584,9 +598,9 @@ module Sampled = struct
         if p >= 0 then begin
           let e = Array.unsafe_get t.entries p in
           touch e.engine
-            ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
+            ~write:(is_write kinds i)
             ~counted:true taddr;
-          let d = Hashtbl.length e.engine.seen in
+          let d = Line_set.length e.engine.seen in
           if d <> e.distinct then begin
             t.total_distinct <- t.total_distinct + (d - e.distinct);
             e.distinct <- d
@@ -616,7 +630,7 @@ module Sampled = struct
     for p = 0 to dst.sel_len - 1 do
       let de = dst.entries.(p) and se = src.entries.(p) in
       merge_exact de.engine se.engine;
-      let d = Hashtbl.length de.engine.seen in
+      let d = Line_set.length de.engine.seen in
       dst.total_distinct <- dst.total_distinct + (d - de.distinct);
       de.distinct <- d
     done;
@@ -654,6 +668,7 @@ module Sampled = struct
       t
     end
     else begin
+      ignore (kind_column p);
       let worker shard () =
         let t =
           create ?translate ?seed ?min_sets ~rate ~line_size ~sets ~max_ways
@@ -832,10 +847,10 @@ module Windowed = struct
   let observe_packed t p =
     let n = Memtrace.Packed.length p in
     let addrs = Memtrace.Packed.raw_addrs p in
-    let kinds = Memtrace.Packed.raw_kinds p in
+    let kinds = kind_column p in
     for i = 0 to n - 1 do
       touch t.engine
-        ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
+        ~write:(is_write kinds i)
         ~counted:true
         (Bigarray.Array1.unsafe_get addrs i);
       t.cur <- t.cur + 1;

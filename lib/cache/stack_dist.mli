@@ -28,7 +28,13 @@
 
     Stacks are depth-truncated at [max_ways]: re-accesses deeper than that
     land in a single overflow bucket (they miss at every tracked
-    associativity), keeping the per-access cost O(max_ways). *)
+    associativity), keeping the per-access cost O(max_ways). A
+    {!Line_set} of every line ever referenced tells those overflows from
+    cold misses; it is asked once per stack miss, never on a stack hit.
+
+    Every packed feed below first decodes its trace's whole kind column
+    with {!Memtrace.Packed.check_kinds}: a byte outside 0-2 raises
+    [Invalid_argument] before any access is counted. *)
 
 type t
 
@@ -57,7 +63,8 @@ val access_traced : t -> kind:Memtrace.Access.kind -> ways:int -> int -> int
     this. [ways] must lie in [1..max_ways]. *)
 
 val access_packed : t -> Memtrace.Packed.t -> unit
-(** Replay a whole packed trace through {!access} without boxing. *)
+(** Replay a whole packed trace through {!access} without boxing and
+    without allocating, once its lines have been seen. *)
 
 val preload : t -> int -> unit
 (** Install the line holding the address clean and most-recently-used,
@@ -84,8 +91,8 @@ val overflows : t -> int
     every tracked associativity. *)
 
 val distinct_lines : t -> int
-(** Lines ever referenced (the cold-miss memory's size) — the engine's
-    dominant memory cost, which the sampled engine's fixed budget bounds. *)
+(** Lines ever referenced (the seen-line set's size) — with the stacks,
+    the engine's memory, which the sampled engine's fixed budget bounds. *)
 
 val histogram : t -> int array
 (** [h.(d)] = re-accesses at exact stack depth [d], [0 <= d < max_ways],
@@ -118,11 +125,12 @@ val stats : t -> ways:int -> Stats.t
     [shards] shards (shard [s] owns the sets with [set mod shards = s])
     makes the Mattson pass embarrassingly parallel, and because merging is
     pure addition of disjoint per-set counters — including the up-set
-    dirtiness writeback accounting and the cold/overflow split (the
-    cold-line memory is keyed by whole lines, which belong to exactly one
-    set) — the merged readings are {e byte-identical} to the serial
-    engine's for any shard count. The [Check.Shard_diff] differential and
-    the jobs-invariance property pin this. *)
+    dirtiness writeback accounting and the cold/overflow split (a line
+    belongs to exactly one set, so the shards' seen lines are disjoint;
+    their 32-line blocks are not, and the merge ORs them) — the merged
+    readings are {e byte-identical} to the serial engine's for any shard
+    count. The [Check.Shard_diff] differential and the jobs-invariance
+    property pin this. *)
 
 val access_packed_sharded : t -> shards:int -> shard:int -> Memtrace.Packed.t -> unit
 (** Replay only the accesses whose (translated) set belongs to [shard] of

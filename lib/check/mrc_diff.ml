@@ -52,6 +52,23 @@ let run_scenario ?bug (sc : Scenario.t) =
         (Stack_dist.overflows engine)
         hist_total
         (Stack_dist.accesses engine);
+    (* The cold/overflow split: every distinct line is cold exactly once
+       (nothing is preloaded), counted here by a list with no PRNG draw. *)
+    let distinct =
+      List.length
+        (List.sort_uniq compare
+           (List.map
+              (fun (a : Memtrace.Access.t) -> a.addr / cfg.Sassoc.line_size)
+              accesses))
+    in
+    if Stack_dist.cold_misses engine <> distinct then
+      failf "cold misses %d, but the scenario touches %d distinct lines"
+        (Stack_dist.cold_misses engine)
+        distinct;
+    if Stack_dist.distinct_lines engine <> distinct then
+      failf "distinct_lines %d, but the scenario touches %d distinct lines"
+        (Stack_dist.distinct_lines engine)
+        distinct;
     let curve = Stack_dist.miss_curve engine in
     if curve.(0) <> Stack_dist.accesses engine then
       failf "miss_curve.(0) = %d, expected the access count %d" curve.(0)

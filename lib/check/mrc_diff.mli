@@ -10,7 +10,10 @@
     associativity's accesses, hits, misses, evictions and writebacks must
     agree exactly — the Mattson inclusion property made executable. This is
     what lets the sweep experiments read whole configuration curves out of
-    one pass. *)
+    one pass. The engine's cold misses and distinct lines must also equal
+    the scenario's distinct lines, counted naively: the associativity
+    comparison sees only cold + overflow, so it cannot tell a swapped
+    split. *)
 
 type divergence = {
   step : int;

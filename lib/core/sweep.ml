@@ -35,6 +35,16 @@ let in_ranges r addr =
 let feasible_cache cache =
   cache.Sassoc.policy = Cache.Policy.Lru && not cache.Sassoc.classify
 
+(* Every kind byte of every trace is decoded before a pass touches a TLB or
+   an engine, so a corrupt byte is rejected, never half-evaluated. The
+   sharded passes rely on [route_serial], which runs first, to have done
+   it before any domain starts. *)
+let check_kinds packed_list =
+  List.iter
+    (fun p ->
+      Memtrace.Packed.check_kinds p ~pos:0 ~stop:(Memtrace.Packed.length p))
+    packed_list
+
 (* One pass over the packed traces: uncached references are recognized by
    byte range first (they bypass the TLB, as in the machine), every other
    access does a TLB lookup (with the same consecutive-same-page shortcut
@@ -51,6 +61,7 @@ let feasible_cache cache =
    to an isolated group — [Infeasible]. *)
 let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
     ~page_map ~groups ~group_ways ~setup_cycles packed_list =
+  check_kinds packed_list;
   let page_of =
     if page_size > 0 && page_size land (page_size - 1) = 0 then (
       let shift = ref 0 in
@@ -133,10 +144,7 @@ let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
             end);
            cost := !cost + timing.Timing.hit_cycles;
            let feed g =
-             let kind =
-               Memtrace.Packed.kind_of_code
-                 (Char.code (Bigarray.Array1.unsafe_get kinds i))
-             in
+             let kind = Memtrace.Packed.kind_at kinds i in
              if !in_window then begin
                let seen =
                  Stack_dist.access_traced (Array.unsafe_get groups g) ~kind
@@ -231,6 +239,7 @@ let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
 let eval_sampled ~timing ~page_size ~tlb_entries ~scratch ~uncached ~page_map
     ~(groups : Stack_dist.Sampled.t array) ~group_ways ~setup_cycles
     packed_list =
+  check_kinds packed_list;
   let page_of =
     if page_size > 0 && page_size land (page_size - 1) = 0 then (
       let shift = ref 0 in
@@ -267,10 +276,7 @@ let eval_sampled ~timing ~page_size ~tlb_entries ~scratch ~uncached ~page_map
              last_page := page
            end);
           let feed g =
-            let kind =
-              Memtrace.Packed.kind_of_code
-                (Char.code (Bigarray.Array1.unsafe_get kinds i))
-            in
+            let kind = Memtrace.Packed.kind_at kinds i in
             Stack_dist.Sampled.access (Array.unsafe_get groups g) ~kind addr
           in
           match page_map with
@@ -506,6 +512,7 @@ let page_fn page_size =
    [eval] would. *)
 let route_serial ~page_size ~tlb_entries ~scratch ~uncached ~page_map
     packed_list =
+  check_kinds packed_list;
   let page_of = page_fn page_size in
   let page_table = Vm.Page_table.create ~page_size () in
   let tlb = Vm.Tlb.create ~entries:tlb_entries ~page_table in
@@ -575,10 +582,7 @@ let sharded_group_pass ~jobs ~cache ~uncached ~page_map ~page_of ~group_ways
             && not (in_ranges uncached addr)
           then begin
             let feed g =
-              let kind =
-                Memtrace.Packed.kind_of_code
-                  (Char.code (Bigarray.Array1.unsafe_get kinds i))
-              in
+              let kind = Memtrace.Packed.kind_at kinds i in
               Stack_dist.access (Array.unsafe_get groups g) ~kind addr
             in
             match page_map with

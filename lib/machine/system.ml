@@ -299,26 +299,6 @@ type hook =
   | Blocking
   | Events of { engine : Event.t; inject_merge_bug : bool }
 
-(* The one kind decoder of the packed replays: a byte outside 0-2 (possible
-   in a corrupt mapped file) is rejected, never read as some kind. *)
-let kind_at (kinds : Memtrace.Packed.byte_col) i =
-  match Bigarray.Array1.unsafe_get kinds i with
-  | '\000' -> Access.Read
-  | '\001' -> Access.Write
-  | '\002' -> Access.Ifetch
-  | c ->
-      invalid_arg
-        (Printf.sprintf "System: access %d has kind byte %d (expected 0-2)" i
-           (Char.code c))
-
-(* Every kind byte is decoded once before a replay changes any state, so a
-   rejected trace leaves the machine as it was. *)
-let check_kinds (p : Memtrace.Packed.t) ~pos ~stop =
-  let kinds = Memtrace.Packed.raw_kinds p in
-  for i = pos to stop - 1 do
-    ignore (kind_at kinds i : Access.kind)
-  done
-
 (* The batched replay loop behind every packed replay. Byte-identical to
    folding [access] over the same accesses (the machine-level differential
    soak pins this), but organized around the invariant that during one
@@ -620,7 +600,7 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
   for i = pos to stop - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i in
     let gap = Bigarray.Array1.unsafe_get gaps i in
-    let kind = kind_at kinds i in
+    let kind = Memtrace.Packed.kind_at kinds i in
     if i = !win_first then begin
       let _, last = requests.(!next_req) in
       win_last := last - 1;
@@ -770,7 +750,7 @@ let replay ?requests t ~hook (p : Memtrace.Packed.t) =
   in
   let requests = Option.value requests ~default:[||] in
   let stop = Memtrace.Packed.length p in
-  check_kinds p ~pos:0 ~stop;
+  Memtrace.Packed.check_kinds p ~pos:0 ~stop;
   let stats =
     run_with t (fun () -> replay_loop t ~hook ~requests ~lat ~pos:0 ~stop p)
   in
@@ -813,7 +793,7 @@ let run_packed_requests_events t ~events p ~requests =
 let replay_range t p ~pos ~stop =
   if pos < 0 || pos > stop || stop > Memtrace.Packed.length p then
     invalid_arg "System.replay_range: range out of bounds";
-  check_kinds p ~pos ~stop;
+  Memtrace.Packed.check_kinds p ~pos ~stop;
   let before = t.cycles in
   replay_loop t ~hook:Blocking ~requests:[||] ~lat:None ~pos ~stop p;
   t.cycles - before

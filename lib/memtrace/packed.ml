@@ -42,8 +42,27 @@ let kind_of_code = function
   | 2 -> Access.Ifetch
   | c -> invalid_arg (Printf.sprintf "Packed.kind_of_code: %d" c)
 
+(* The one decoder of the kind column: a byte outside 0-2 (possible in a
+   corrupt mapped file) is rejected, never read as some kind. *)
+let kind_at (kinds : byte_col) i =
+  match Bigarray.Array1.unsafe_get kinds i with
+  | '\000' -> Access.Read
+  | '\001' -> Access.Write
+  | '\002' -> Access.Ifetch
+  | c ->
+      invalid_arg
+        (Printf.sprintf "Packed: access %d has kind byte %d (expected 0-2)" i
+           (Char.code c))
+
 let check_index t i =
   if i < 0 || i >= t.len then invalid_arg "Packed: index out of bounds"
+
+let check_kinds t ~pos ~stop =
+  if pos < 0 || pos > stop || stop > t.len then
+    invalid_arg "Packed.check_kinds: range out of bounds";
+  for i = pos to stop - 1 do
+    ignore (kind_at t.kinds i : Access.kind)
+  done
 
 let addr t i =
   check_index t i;
@@ -55,7 +74,7 @@ let gap t i =
 
 let kind t i =
   check_index t i;
-  kind_of_code (Char.code t.kinds.{i})
+  kind_at t.kinds i
 
 let var t i =
   check_index t i;
@@ -65,7 +84,7 @@ let var t i =
 let get t i =
   check_index t i;
   Access.make
-    ~kind:(kind_of_code (Char.code t.kinds.{i}))
+    ~kind:(kind_at t.kinds i)
     ?var:(let tag = t.tags.{i} in
           if tag < 0 then None else Some t.vars.(tag))
     ~gap:t.gaps.{i} t.addrs.{i}

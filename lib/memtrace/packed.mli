@@ -45,6 +45,19 @@ val kind_code : Access.kind -> int
 val kind_of_code : int -> Access.kind
 (** Inverse of {!kind_code}; raises [Invalid_argument] on other values. *)
 
+val kind_at : byte_col -> int -> Access.kind
+(** [kind_at (raw_kinds t) i] decodes access [i]'s kind byte — the one
+    decoder every reader of the kind column uses. Raises [Invalid_argument]
+    ["Packed: access i has kind byte c (expected 0-2)"] on a byte outside
+    0-2, which a corrupt mapped file can hold. [i] is not bounds-checked. *)
+
+val check_kinds : t -> pos:int -> stop:int -> unit
+(** Decode the kinds of accesses [pos .. stop - 1] with {!kind_at},
+    raising on the first bad byte. Every reader runs it over its range
+    before it changes any state, so a rejected trace leaves engines and
+    machines as they were. Raises [Invalid_argument] when the range falls
+    outside the trace. *)
+
 val raw_addrs : t -> int_col
 val raw_gaps : t -> int_col
 val raw_kinds : t -> byte_col

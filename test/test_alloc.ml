@@ -216,6 +216,60 @@ let test_gen_zipf () =
     Alcotest.failf "Zipf draw allocates %.1f words per access (limit 28)"
       per_access
 
+(* --- Stack_dist feeds --- *)
+
+module Stack_dist = Cache.Stack_dist
+
+let zipf_packed ~items n =
+  let b = Packed.Builder.create ~initial_capacity:n () in
+  Workloads.Gen.iter_accesses ~seed:1 ~n
+    (Workloads.Gen.Zipf { items; theta = 0.99 })
+    (fun ~kind ~gap addr -> Packed.Builder.emit b ~kind ~gap addr);
+  Packed.Builder.build b
+
+(* Once every line of a trace has been seen, feeding it again allocates
+   nothing: the stack misses it still makes ask the seen-line set, which
+   answers without allocating, and the windowed engine seals its epochs
+   into the ring it already has. *)
+let test_stack_dist_refeed () =
+  let p = zipf_packed ~items:(1 lsl 14) 20_000 in
+  let exact = Stack_dist.create ~line_size:16 ~sets:64 ~max_ways:8 () in
+  let sampled =
+    Stack_dist.Sampled.create ~rate:0.25 ~line_size:16 ~sets:64 ~max_ways:8 ()
+  in
+  let win =
+    Stack_dist.Windowed.create ~window:4096 ~epochs:8 ~line_size:16 ~sets:64
+      ~max_ways:8 ()
+  in
+  (* [words_per_call] feeds twice before it counts: the first feed sees
+     every line *)
+  List.iter
+    (fun (name, feed) ->
+      Alcotest.(check (float 0.))
+        (name ^ ": words of a re-feed") 0.
+        (words_per_call ~reps:2 feed))
+    [
+      ("access_packed", fun () -> Stack_dist.access_packed exact p);
+      ("Sampled.access_packed", fun () -> Stack_dist.Sampled.access_packed sampled p);
+      ("Windowed.observe_packed", fun () -> Stack_dist.Windowed.observe_packed win p);
+    ];
+  Alcotest.(check bool) "re-feeds sealed epochs" true
+    (Stack_dist.Windowed.retired_epochs win > 20)
+
+(* A first feed inserts every line it meets into the seen-line set; only
+   the set's growths allocate, and only its small tables reach the minor
+   heap. *)
+let test_stack_dist_first_feed () =
+  let n = 100_000 in
+  let p = zipf_packed ~items:(1 lsl 16) n in
+  let exact = Stack_dist.create ~line_size:16 ~sets:64 ~max_ways:8 () in
+  let per_access =
+    words (fun () -> Stack_dist.access_packed exact p) /. float_of_int n
+  in
+  if per_access >= 0.05 then
+    Alcotest.failf "first feed allocates %.4f words per access (limit 0.05)"
+      per_access
+
 let suites =
   [
     ( "alloc.tlb",
@@ -246,6 +300,13 @@ let suites =
         Alcotest.test_case "run_packed_requests_events" `Quick
           test_run_packed_requests_events;
         Alcotest.test_case "replay_range" `Quick test_replay_range;
+      ] );
+    ( "alloc.stack_dist",
+      [
+        Alcotest.test_case "re-feed of seen lines" `Quick
+          test_stack_dist_refeed;
+        Alcotest.test_case "first feed of a Zipf trace" `Quick
+          test_stack_dist_first_feed;
       ] );
     ( "alloc.gen",
       [ Alcotest.test_case "iter_accesses zipf" `Quick test_gen_zipf ] );

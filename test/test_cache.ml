@@ -717,6 +717,119 @@ let prop_lru_matches_reference =
 let prop_fifo_matches_reference =
   prop_matches_reference Policy.Fifo "sassoc FIFO matches reference model"
 
+(* --- Line_set --- *)
+
+module Line_set = Cache.Line_set
+
+(* Runs of lines [base + i * stride]: dense runs share 32-line blocks,
+   strides of 32 and more put each line in a block of its own, and the bases
+   reach 0, both ends of the int range and negative lines (a [line_size] of
+   1 keeps a negative address as its line). Hundreds of distinct blocks take
+   the table through several growths, and a key beyond 32 bits through the
+   widening. *)
+let arb_line_runs =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [
+        int_range (-5000) 5000;
+        int_bound (1 lsl 20);
+        oneofl [ 0; max_int; min_int; -1 ];
+        map (fun k -> max_int - k) (int_bound 100);
+        map (fun k -> min_int + k) (int_bound 100);
+        int;
+      ]
+  in
+  let run =
+    triple base (int_range 1 60) (oneofl [ 1; 1; 2; 31; 32; 33; 64; 1000; 4096 ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list (triple int int int))
+    (list_size (int_range 1 12) run)
+
+let lines_of_runs runs =
+  List.concat_map (fun (base, len, stride) -> List.init len (fun i -> base + (i * stride))) runs
+
+let prop_line_set_model =
+  QCheck.Test.make ~name:"line_set matches a Hashtbl model" ~count:300
+    arb_line_runs (fun runs ->
+      let lines = lines_of_runs runs in
+      let s = Line_set.create () in
+      let model = Hashtbl.create 64 in
+      let fresh_ok =
+        List.for_all
+          (fun l ->
+            let expected = not (Hashtbl.mem model l) in
+            Hashtbl.replace model l ();
+            Line_set.add s l = expected)
+          lines
+      in
+      fresh_ok
+      && Line_set.length s = Hashtbl.length model
+      && List.for_all (fun l -> not (Line_set.add s l)) lines
+      && Line_set.length s = Hashtbl.length model)
+
+let prop_line_set_union =
+  (* Alternate lines go to different sets, so neighbours of a dense run land
+     in the same block of both: the union must OR the words and count only
+     the new bits. *)
+  QCheck.Test.make ~name:"line_set union of sets sharing blocks" ~count:300
+    (QCheck.pair arb_line_runs arb_line_runs) (fun (ra, rb) ->
+      let a = Line_set.create () and b = Line_set.create () in
+      let model = Hashtbl.create 64 in
+      List.iteri
+        (fun i l ->
+          Hashtbl.replace model l ();
+          ignore (Line_set.add (if i mod 2 = 0 then a else b) l))
+        (lines_of_runs ra @ lines_of_runs rb);
+      let b_len = Line_set.length b in
+      Line_set.union_into a b;
+      Line_set.length a = Hashtbl.length model
+      && Hashtbl.fold (fun l () ok -> ok && not (Line_set.add a l)) model true
+      && Line_set.length a = Hashtbl.length model
+      && Line_set.length b = b_len)
+
+let test_line_set_basic () =
+  let s = Line_set.create () in
+  check_bool "0 absent" true (Line_set.add s 0);
+  check_bool "0 again" false (Line_set.add s 0);
+  check_bool "31 shares 0's block" true (Line_set.add s 31);
+  check_bool "-1 (block -1, bit 31)" true (Line_set.add s (-1));
+  check_bool "max_int" true (Line_set.add s max_int);
+  check_bool "min_int" true (Line_set.add s min_int);
+  check_bool "max_int again" false (Line_set.add s max_int);
+  check_int "length" 5 (Line_set.length s);
+  check_bool "-32 (block -1, bit 0)" true (Line_set.add s (-32));
+  check_bool "0 after widening" false (Line_set.add s 0);
+  check_int "length after widening" 6 (Line_set.length s)
+
+let test_line_set_memory () =
+  (* One line per block, the case no density helps: the set never takes
+     more words than the (int, unit) Hashtbl.create 1024 it replaced, at
+     sizes on both sides of the two tables' growths. *)
+  List.iter
+    (fun n ->
+      let s = Line_set.create () in
+      let h = Hashtbl.create 1024 in
+      for i = 0 to n - 1 do
+        ignore (Line_set.add s (32 * i));
+        Hashtbl.replace h (32 * i) ()
+      done;
+      let set_words = Obj.reachable_words (Obj.repr s) in
+      let table_words = Obj.reachable_words (Obj.repr h) in
+      if set_words > table_words then
+        Alcotest.failf "%d lines: set %d words > Hashtbl %d words" n set_words
+          table_words)
+    [ 1; 9; 100; 1025; 1100; 2049; 2500; 4097; 5000; 70_000 ]
+
+let line_set_cases =
+  [
+    Alcotest.test_case "basic" `Quick test_line_set_basic;
+    Alcotest.test_case "no larger than a Hashtbl" `Quick test_line_set_memory;
+  ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_line_set_model; prop_line_set_union ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -753,6 +866,7 @@ let suites =
         Alcotest.test_case "clear across probe runs" `Quick
           test_lru_set_clear_probe_runs;
       ] );
+    ("cache.line_set", line_set_cases);
     ( "cache.sassoc",
       [
         Alcotest.test_case "config" `Quick test_sassoc_config;

@@ -551,7 +551,7 @@ let test_corrupt_kind_rejected () =
   in
   let events = Machine.Event.default_config in
   let requests = [| (0, 3) |] in
-  let expected = Invalid_argument "System: access 1 has kind byte 3 (expected 0-2)" in
+  let expected = Invalid_argument "Packed: access 1 has kind byte 3 (expected 0-2)" in
   List.iter
     (fun (name, run) ->
       let sys = make_system () in

@@ -268,6 +268,101 @@ let test_sweep_rejects_non_lru () =
        [ packed ]
     = None)
 
+(* --- corrupt kind bytes --- *)
+
+(* Six accesses whose third has kind byte 3, as a corrupt mapped file can
+   hold. *)
+let corrupt_packed () =
+  let p = Memtrace.Packed.of_list (List.init 6 (fun i -> Access.make (16 * i))) in
+  Bigarray.Array1.set (Memtrace.Packed.raw_kinds p) 2 '\003';
+  p
+
+let corrupt_error =
+  Invalid_argument "Packed: access 2 has kind byte 3 (expected 0-2)"
+
+(* Every packed feed decodes the trace's kinds before it counts anything:
+   the engine it was given reads no access at all. *)
+let test_corrupt_kind_rejected () =
+  let p = corrupt_packed () in
+  let exact () = Stack_dist.create ~line_size:16 ~sets:4 ~max_ways:2 () in
+  let sampled () =
+    Stack_dist.Sampled.create ~rate:1.0 ~line_size:16 ~sets:4 ~max_ways:2 ()
+  in
+  let rejects name feed accesses =
+    Alcotest.check_raises name corrupt_error feed;
+    check_int (name ^ ": nothing counted") 0 (accesses ())
+  in
+  let e = exact () in
+  rejects "access_packed"
+    (fun () -> Stack_dist.access_packed e p)
+    (fun () -> Stack_dist.accesses e);
+  let e = exact () in
+  rejects "access_packed_sharded"
+    (fun () -> Stack_dist.access_packed_sharded e ~shards:2 ~shard:0 p)
+    (fun () -> Stack_dist.accesses e);
+  let s = sampled () in
+  rejects "Sampled.access_packed"
+    (fun () -> Stack_dist.Sampled.access_packed s p)
+    (fun () -> Stack_dist.Sampled.accesses s);
+  let s = sampled () in
+  rejects "Sampled.access_packed_sharded"
+    (fun () -> Stack_dist.Sampled.access_packed_sharded s ~shards:2 ~shard:0 p)
+    (fun () -> Stack_dist.Sampled.accesses s);
+  (* two-access epochs: a feed that counted before it checked would have
+     sealed one *)
+  let w =
+    Stack_dist.Windowed.create ~window:4 ~epochs:2 ~line_size:16 ~sets:4
+      ~max_ways:2 ()
+  in
+  rejects "Windowed.observe_packed"
+    (fun () -> Stack_dist.Windowed.observe_packed w p)
+    (fun () -> Stack_dist.Windowed.accesses_in_window w);
+  List.iter
+    (fun (name, run) -> Alcotest.check_raises name corrupt_error run)
+    [
+      ( "per_tag_of_packed",
+        fun () ->
+          ignore
+            (Stack_dist.per_tag_of_packed ~line_size:16 ~sets:4 ~max_ways:2 p)
+      );
+      ( "of_packed_parallel",
+        fun () ->
+          ignore
+            (Stack_dist.of_packed_parallel ~jobs:2 ~line_size:16 ~sets:4
+               ~max_ways:2 p) );
+      ( "Sampled.of_packed_parallel",
+        fun () ->
+          ignore
+            (Stack_dist.Sampled.of_packed_parallel ~jobs:2 ~rate:1.0
+               ~line_size:16 ~sets:4 ~max_ways:2 p) );
+    ]
+
+(* The closed-form evaluators reject the byte as the engines do, through
+   the same decoder, instead of failing partway through a pass. *)
+let test_sweep_corrupt_kind_rejected () =
+  let p = corrupt_packed () in
+  let cache = Sassoc.config ~line_size:16 ~size_bytes:128 ~ways:2 () in
+  let timing = Machine.Timing.default in
+  List.iter
+    (fun (name, run) -> Alcotest.check_raises name corrupt_error run)
+    [
+      ( "standard",
+        fun () ->
+          ignore
+            (Sweep.standard ~cache ~timing ~page_size:256 ~tlb_entries:4 [ p ])
+      );
+      ( "standard_sampled",
+        fun () ->
+          ignore
+            (Sweep.standard_sampled ~rate:1.0 ~cache ~timing ~page_size:256
+               ~tlb_entries:4 [ p ]) );
+      ( "standard_parallel",
+        fun () ->
+          ignore
+            (Sweep.standard_parallel ~jobs:2 ~cache ~timing ~page_size:256
+               ~tlb_entries:4 [ p ]) );
+    ]
+
 (* --- MRC-driven allocation --- *)
 
 let test_mrc_alloc_greedy () =
@@ -331,6 +426,8 @@ let suites =
         Alcotest.test_case "overflow bucket" `Quick test_overflow_bucket;
         Alcotest.test_case "miss curve shape" `Quick test_miss_curve_shape;
         Alcotest.test_case "per-tag totals" `Quick test_per_tag_totals;
+        Alcotest.test_case "corrupt kind byte rejected" `Quick
+          test_corrupt_kind_rejected;
       ] );
     ( "core.sweep",
       [
@@ -339,6 +436,8 @@ let suites =
         Alcotest.test_case "partitioned = machine replay" `Quick
           test_sweep_partitioned_exact;
         Alcotest.test_case "non-LRU rejected" `Quick test_sweep_rejects_non_lru;
+        Alcotest.test_case "corrupt kind byte rejected" `Quick
+          test_sweep_corrupt_kind_rejected;
       ] );
     ( "layout.mrc_alloc",
       [
