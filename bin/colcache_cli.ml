@@ -609,9 +609,35 @@ let mrc_cmd =
             Format.fprintf ppf "mean absolute error: %.6f@."
               (!sum /. float_of_int ways))
   in
+  (* Geometry and sampling flags are checked here, not left to the
+     engines: an engine's rejection would be reported against the trace
+     file. *)
   let run_checked file line_size sets ways sample_rate budget seed compare
       jobs window epochs =
-    if jobs <= 0 then
+    let power_of_two n = n > 0 && n land (n - 1) = 0 in
+    if not (power_of_two line_size) then
+      `Error
+        ( false,
+          Printf.sprintf "--line-size must be a power of two, got %d" line_size
+        )
+    else if not (power_of_two sets) then
+      `Error
+        (false, Printf.sprintf "--sets must be a power of two, got %d" sets)
+    else if ways < 1 then
+      `Error (false, Printf.sprintf "--ways must be at least 1, got %d" ways)
+    else if
+      match sample_rate with Some r -> not (r > 0. && r <= 1.) | None -> false
+    then
+      `Error
+        ( false,
+          Printf.sprintf "--sample-rate must lie in (0, 1], got %g"
+            (Option.get sample_rate) )
+    else if match budget with Some l -> l < 1 | None -> false then
+      `Error
+        ( false,
+          Printf.sprintf "--budget must be at least 1 line, got %d"
+            (Option.get budget) )
+    else if jobs <= 0 then
       `Error
         ( false,
           Printf.sprintf "--jobs must be a positive domain count, got %d" jobs

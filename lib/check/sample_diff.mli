@@ -5,7 +5,7 @@
     {!Cache.Stack_dist.Sampled} estimator against the exact engine on the
     same access stream: the estimated miss-ratio curve's mean absolute
     error over associativities [1..W] must stay within a sample-size-aware
-    bound for the configured rate, the curve's pinned index 0 must be
+    bound scaled to the fraction of sets selected, the curve's pinned index 0 must be
     exactly 1, and a second sampled engine at rate 1.0 must agree with the
     exact engine reading-for-reading (full selection is not allowed to
     approximate). Reconfiguration events are irrelevant, as in
@@ -23,10 +23,13 @@ val hash_seed : int
     sampled twin engines) samples the same sets for the same geometry. *)
 
 val error_bound : sampled_accesses:int -> float
-(** The asserted bound on mean absolute miss-ratio error: a calibrated
-    floor plus a [1/sqrt(sampled_accesses)] noise term, so scenarios whose
-    selected sets saw almost no traffic are held only to what their sample
-    size supports. *)
+(** The bound on mean absolute miss-ratio error where half the sets are
+    selected: a calibrated floor plus a [1/sqrt(sampled_accesses)] noise
+    term, so scenarios whose selected sets saw almost no traffic are held
+    only to what their sample size supports. {!run_scenario} scales it by
+    [sqrt (2 (1 - f))] for a selected fraction [f] of the sets (1.22 at a
+    quarter), the finite-population factor of an estimate over a sample of
+    the sets drawn without replacement. *)
 
 type divergence = {
   step : int;

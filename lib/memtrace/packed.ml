@@ -117,8 +117,22 @@ let instructions t =
   done;
   !total
 
+(* The builder writes every access through [push]: the variable arrives as
+   a handle resolved once per name, so the per-access path neither hashes
+   nor allocates. A handle's var-table index is assigned at the first
+   access pushed with it, which keeps the table in first-appearance order
+   however early names are resolved. [build] hands the columns over
+   without copying when they are exactly full; a later push then finds
+   the builder full and grows into fresh columns, so a built trace is
+   never written again. *)
 module Builder = struct
   type packed = t
+  type var = int
+
+  (* [slots.(h)] is handle [h]'s var-table index; [unseen] until its first
+     access. Handle 0 is [untagged] and always maps to -1. *)
+  let unseen = -2
+  let untagged = 0
 
   type t = {
     mutable len : int;
@@ -126,7 +140,9 @@ module Builder = struct
     mutable gaps : int_col;
     mutable kinds : byte_col;
     mutable tags : int_col;
-    intern : (string, int) Hashtbl.t;
+    handles : (string, var) Hashtbl.t;
+    mutable names : string array; (* handle -> name; index 0 unused *)
+    mutable slots : int array;
     mutable vars : string list; (* reversed first-appearance order *)
     mutable var_count : int;
   }
@@ -139,10 +155,36 @@ module Builder = struct
       gaps = make_int_col cap;
       kinds = make_byte_col cap;
       tags = make_int_col cap;
-      intern = Hashtbl.create 16;
+      handles = Hashtbl.create 16;
+      names = [| "" |];
+      slots = [| -1 |];
       vars = [];
       var_count = 0;
     }
+
+  let var b name =
+    match Hashtbl.find_opt b.handles name with
+    | Some h -> h
+    | None ->
+        let h = Hashtbl.length b.handles + 1 in
+        if h = Array.length b.slots then begin
+          let extend a fill =
+            Array.append a (Array.make (Array.length a) fill)
+          in
+          b.names <- extend b.names "";
+          b.slots <- extend b.slots unseen
+        end;
+        b.names.(h) <- name;
+        b.slots.(h) <- unseen;
+        Hashtbl.add b.handles name h;
+        h
+
+  let first_use b h =
+    let tag = b.var_count in
+    b.slots.(h) <- tag;
+    b.vars <- b.names.(h) :: b.vars;
+    b.var_count <- tag + 1;
+    tag
 
   let grow b =
     let open Bigarray.Array1 in
@@ -159,51 +201,51 @@ module Builder = struct
     blit (sub b.kinds 0 b.len) (sub kinds 0 b.len);
     b.kinds <- kinds
 
-  let tag_of b = function
-    | None -> -1
-    | Some v -> (
-        match Hashtbl.find_opt b.intern v with
-        | Some i -> i
-        | None ->
-            let i = b.var_count in
-            Hashtbl.add b.intern v i;
-            b.vars <- v :: b.vars;
-            b.var_count <- i + 1;
-            i)
-
-  let emit b ?(kind = Access.Read) ?var ?(gap = 0) addr =
+  let push b ~kind ~var ~gap addr =
     if addr < 0 then invalid_arg "Packed.Builder.emit: negative address";
     if gap < 0 then invalid_arg "Packed.Builder.emit: negative gap";
+    let tag = b.slots.(var) in
+    let tag = if tag = unseen then first_use b var else tag in
     if b.len = Bigarray.Array1.dim b.addrs then grow b;
     let i = b.len in
-    b.addrs.{i} <- addr;
-    b.gaps.{i} <- gap;
-    b.kinds.{i} <- Char.chr (kind_code kind);
-    b.tags.{i} <- tag_of b var;
+    Bigarray.Array1.unsafe_set b.addrs i addr;
+    Bigarray.Array1.unsafe_set b.gaps i gap;
+    Bigarray.Array1.unsafe_set b.kinds i (Char.unsafe_chr (kind_code kind));
+    Bigarray.Array1.unsafe_set b.tags i tag;
     b.len <- i + 1
 
+  let var_opt b = function None -> untagged | Some name -> var b name
+
+  let emit b ?(kind = Access.Read) ?var ?(gap = 0) addr =
+    push b ~kind ~var:(var_opt b var) ~gap addr
+
   let add b (a : Access.t) =
-    emit b ~kind:a.kind ?var:a.var ~gap:a.gap a.addr
+    push b ~kind:a.kind ~var:(var_opt b a.var) ~gap:a.gap a.addr
 
   let length b = b.len
 
   let build b : packed =
-    let open Bigarray.Array1 in
-    let copy_int (src : int_col) =
-      let dst = make_int_col b.len in
-      blit (sub src 0 b.len) dst;
-      dst
-    in
-    let kinds = make_byte_col b.len in
-    blit (sub b.kinds 0 b.len) kinds;
-    {
-      len = b.len;
-      addrs = copy_int b.addrs;
-      gaps = copy_int b.gaps;
-      kinds;
-      tags = copy_int b.tags;
-      vars = Array.of_list (List.rev b.vars);
-    }
+    let vars = Array.of_list (List.rev b.vars) in
+    if b.len = Bigarray.Array1.dim b.addrs then
+      { len = b.len; addrs = b.addrs; gaps = b.gaps; kinds = b.kinds;
+        tags = b.tags; vars }
+    else
+      let open Bigarray.Array1 in
+      let copy_int (src : int_col) =
+        let dst = make_int_col b.len in
+        blit (sub src 0 b.len) dst;
+        dst
+      in
+      let kinds = make_byte_col b.len in
+      blit (sub b.kinds 0 b.len) kinds;
+      {
+        len = b.len;
+        addrs = copy_int b.addrs;
+        gaps = copy_int b.gaps;
+        kinds;
+        tags = copy_int b.tags;
+        vars;
+      }
 end
 
 let of_trace trace =

@@ -90,20 +90,53 @@ val pp : Format.formatter -> t -> unit
 
 (** Accumulates accesses in O(1) amortized time directly into the packed
     columns, so workload generators emit without building per-access heap
-    records first. *)
+    records first.
+
+    Every access goes through {!push}, which takes its variable as a
+    {!var} handle resolved once per name: the per-access path does no
+    hashing and allocates nothing except when the columns grow. {!emit} and
+    {!add} resolve the name on each call and then push.
+
+    Size the builder to the trace when the length is known: {!build} then
+    hands the columns over without copying them. *)
 module Builder : sig
   type packed := t
   type t
 
   val create : ?initial_capacity:int -> unit -> t
 
-  val emit : t -> ?kind:Access.kind -> ?var:string -> ?gap:int -> int -> unit
+  type var
+  (** A variable name resolved against one builder; meaningless for any
+      other builder. *)
+
+  val untagged : var
+  (** The handle of untagged accesses, valid for every builder. *)
+
+  val var : t -> string -> var
+  (** [var b name] resolves [name] for any number of {!push}es. The name
+      enters the var table at the first access pushed with it, not here, so
+      resolving names ahead of use keeps the table in first-appearance
+      order. *)
+
+  val push : t -> kind:Access.kind -> var:var -> gap:int -> int -> unit
   (** Append one access. Same validation as {!Access.make}: negative
-      addresses and negative gaps are rejected with [Invalid_argument]. *)
+      addresses and negative gaps are rejected with [Invalid_argument]
+      (the messages name [Packed.Builder.emit]). *)
+
+  val emit : t -> ?kind:Access.kind -> ?var:string -> ?gap:int -> int -> unit
+  (** {!push} with [var] resolved on this call; [kind] defaults to [Read],
+      [gap] to 0. *)
 
   val add : t -> Access.t -> unit
   val length : t -> int
+
   val build : t -> packed
+  (** The accesses pushed so far. When they fill the builder's columns
+      exactly (as they do in a builder created with [initial_capacity] equal
+      to the final length) the trace takes those columns without a copy;
+      otherwise it gets exact-size copies. Either way later pushes never
+      write into a built trace: a full builder grows into fresh columns
+      first. *)
 end
 
 (** {2 The binary trace file format}

@@ -145,9 +145,13 @@ let emit ?perturb ?(base = 0) ?(stride = 16) ?write_ratio
     ?(accesses_per_request = 1) ?var ~seed ~n stream =
   if accesses_per_request < 1 then
     invalid_arg "Gen.emit: accesses_per_request must be >= 1";
-  let b = Packed.Builder.create ~initial_capacity:(max 16 n) () in
+  (* sized to [n], so [build] takes the columns without a copy *)
+  let b = Packed.Builder.create ~initial_capacity:n () in
+  let var =
+    Option.fold ~none:Packed.Builder.untagged ~some:(Packed.Builder.var b) var
+  in
   iter_accesses ?perturb ~base ~stride ?write_ratio ~seed ~n stream
-    (fun ~kind ~gap addr -> Packed.Builder.emit b ~kind ?var ~gap addr);
+    (fun ~kind ~gap addr -> Packed.Builder.push b ~kind ~var ~gap addr);
   let apr = accesses_per_request in
   let n_requests = (n + apr - 1) / apr in
   let requests =
@@ -192,6 +196,12 @@ let kv ?(perturb = false) ?(base = 0) ?(theta = 0.99) ~seed ~requests:n_req
   Array.iteri (fun k p -> chain.(bucket_of.(k)).(p) <- k) chain_pos;
   let key_sampler = sampler rng ~perturb (Zipf { items = keys; theta }) in
   let b = Packed.Builder.create ~initial_capacity:(max 16 (n_req * 4)) () in
+  let kv_heads = Packed.Builder.var b "kv_heads" in
+  let kv_entries = Packed.Builder.var b "kv_entries" in
+  let kv_values = Packed.Builder.var b "kv_values" in
+  let push kind var addr =
+    Packed.Builder.push b ~kind ~var ~gap:(Prng.int rng 2) addr
+  in
   let requests = Array.make n_req (0, 0) in
   for r = 0 to n_req - 1 do
     let start = Packed.Builder.length b in
@@ -200,23 +210,19 @@ let kv ?(perturb = false) ?(base = 0) ?(theta = 0.99) ~seed ~requests:n_req
       (* perturbed escape: a probe of a key slot that does not exist — one
          access past the declared range, the containment violation the
          harness must catch *)
-      Packed.Builder.emit b ~var:"kv_entries" ~gap:(Prng.int rng 2)
-        (entries_base + (k * 16))
+      push Access.Read kv_entries (entries_base + (k * 16))
     else begin
       let bucket = bucket_of.(k) in
-      Packed.Builder.emit b ~var:"kv_heads" ~gap:(Prng.int rng 2)
-        (heads_base + (bucket * 8));
+      push Access.Read kv_heads (heads_base + (bucket * 8));
       for p = 0 to chain_pos.(k) do
-        Packed.Builder.emit b ~var:"kv_entries" ~gap:(Prng.int rng 2)
-          (entries_base + (chain.(bucket).(p) * 16))
+        push Access.Read kv_entries (entries_base + (chain.(bucket).(p) * 16))
       done;
       let update = Prng.chance rng 0.3 in
       for v = 0 to value_lines - 1 do
         let kind =
           if update && v = value_lines - 1 then Access.Write else Access.Read
         in
-        Packed.Builder.emit b ~kind ~var:"kv_values" ~gap:(Prng.int rng 2)
-          (values_base + ((k * value_lines) + v) * 16)
+        push kind kv_values (values_base + ((k * value_lines) + v) * 16)
       done
     end;
     requests.(r) <- (start, Packed.Builder.length b)

@@ -56,35 +56,46 @@ let synthetic_input ~seed ~len =
   String.sub (Buffer.contents buf) 0 len
 
 let hash3 s pos =
-  let b i = Char.code s.[pos + i] in
-  (b 0 lsl 6) lxor (b 1 lsl 3) lxor b 2 land (hash_entries - 1)
+  (Char.code s.[pos] lsl 6)
+  lxor (Char.code s.[pos + 1] lsl 3)
+  lxor Char.code s.[pos + 2]
+  land (hash_entries - 1)
 
-(* The compressor core is generic over the access sink, so the same code
-   emits either boxed traces ([compress]) or packed columns
-   ([packed_trace]) with no duplication. *)
-let compress_core
-    ~(emit : ?kind:Access.kind -> ?gap:int -> var:string -> int -> unit)
+(* The job's variables; the compressor core names them by index. *)
+let var_names = [| "inbuf"; "window"; "hash_head"; "hash_prev"; "outbuf" |]
+let inbuf = 0
+let window = 1
+let hash_head = 2
+let hash_prev = 3
+let outbuf = 4
+
+(* The compressor core is generic over the access sink: [emit kind var off]
+   receives each access's kind, variable index and job-relative offset. It
+   is deterministic, so [packed_of] runs it twice, once to count the
+   accesses and once to fill a builder of exactly that size. It allocates
+   nothing per access; only [keep_tokens] makes it collect the token
+   stream. *)
+let compress_core ~(emit : Access.kind -> int -> int -> unit) ~keep_tokens
     ~input =
   let len = String.length input in
   if len > 0x4000 then invalid_arg "Lz77.compress: input exceeds 16 KiB buffer";
-  let read_in pos = emit ~var:"inbuf" (inbuf_off + pos) in
-  let read_window p = emit ~var:"window" (window_off + (p mod window_size)) in
+  let read_in pos = emit Access.Read inbuf (inbuf_off + pos) in
+  let read_window p = emit Access.Read window (window_off + (p mod window_size)) in
   let write_window p =
-    emit ~kind:Access.Write ~var:"window" (window_off + (p mod window_size))
+    emit Access.Write window (window_off + (p mod window_size))
   in
-  let read_head h = emit ~var:"hash_head" (head_off + (h * 2)) in
-  let write_head h = emit ~kind:Access.Write ~var:"hash_head" (head_off + (h * 2)) in
-  let read_prev p = emit ~var:"hash_prev" (prev_off + (p mod window_size * 2)) in
+  let read_head h = emit Access.Read hash_head (head_off + (h * 2)) in
+  let write_head h = emit Access.Write hash_head (head_off + (h * 2)) in
+  let read_prev p = emit Access.Read hash_prev (prev_off + (p mod window_size * 2)) in
   let write_prev p =
-    emit ~kind:Access.Write ~var:"hash_prev" (prev_off + (p mod window_size * 2))
+    emit Access.Write hash_prev (prev_off + (p mod window_size * 2))
   in
-  let write_out pos = emit ~kind:Access.Write ~var:"outbuf" (outbuf_off + pos) in
+  let write_out pos = emit Access.Write outbuf (outbuf_off + pos) in
   (* head.(h) = most recent position + 1 with that hash; prev chains
      positions within the window. *)
   let head = Array.make hash_entries 0 in
   let prev = Array.make window_size 0 in
   let tokens = ref [] in
-  let outpos = ref 0 in
   let insert pos =
     if pos + min_match <= len then begin
       let h = hash3 input pos in
@@ -98,95 +109,93 @@ let compress_core
     end
     else write_window pos
   in
+  (* Compare at most [max_compare] bytes, never past [pos] into unwritten
+     window bytes; each compared pair costs a window and an input read. *)
   let match_length cand pos =
-    let limit = min max_compare (min max_match (len - pos)) in
-    let rec loop i =
-      if i >= limit || pos + i >= len then i
-      else begin
-        read_window (cand + i);
-        read_in (pos + i);
-        if input.[cand + i] = input.[pos + i] then loop (i + 1) else i
-      end
-    in
-    (* the encoder never compares past [pos] into unwritten window bytes *)
-    let avail = min limit (pos - cand) in
-    let rec capped i =
-      if i >= avail then i
-      else begin
-        read_window (cand + i);
-        read_in (pos + i);
-        if input.[cand + i] = input.[pos + i] then capped (i + 1) else i
-      end
-    in
-    if avail < limit then capped 0 else loop 0
+    let avail = min (min max_compare (min max_match (len - pos))) (pos - cand) in
+    let i = ref 0 and equal = ref true in
+    while !equal && !i < avail do
+      read_window (cand + !i);
+      read_in (pos + !i);
+      if input.[cand + !i] = input.[pos + !i] then incr i else equal := false
+    done;
+    !i
   in
+  (* Length of the longest match along [pos]'s hash chain (the first of
+     equal length wins), 0 if none; its position goes to [best_pos]. *)
+  let best_pos = ref 0 in
   let find_match pos =
-    if pos + min_match > len then None
+    if pos + min_match > len then 0
     else begin
       let h = hash3 input pos in
       read_in pos;
       read_head h;
-      let rec walk cand chain best =
-        if cand = 0 || chain >= max_chain then best
-        else
-          let cpos = cand - 1 in
-          if cpos >= pos || pos - cpos > window_size then best
-          else begin
-            let l = match_length cpos pos in
-            let best =
-              match best with
-              | Some (_, bl) when bl >= l -> best
-              | _ when l >= min_match -> Some (cpos, l)
-              | _ -> best
-            in
-            read_prev cpos;
-            walk prev.(cpos mod window_size) (chain + 1) best
-          end
-      in
-      walk head.(h) 0 None
+      (* a stored position + 1 of 0 ends the chain *)
+      let best_len = ref 0 and cpos = ref (head.(h) - 1) and chain = ref 0 in
+      while
+        !cpos >= 0 && !chain < max_chain && !cpos < pos
+        && pos - !cpos <= window_size
+      do
+        let l = match_length !cpos pos in
+        if l >= min_match && l > !best_len then begin
+          best_pos := !cpos;
+          best_len := l
+        end;
+        read_prev !cpos;
+        cpos := prev.(!cpos mod window_size) - 1;
+        incr chain
+      done;
+      !best_len
     end
   in
-  let rec step pos =
-    if pos < len then begin
-      match find_match pos with
-      | Some (cand, l) ->
-          tokens := Match { distance = pos - cand; length = l } :: !tokens;
-          write_out !outpos;
-          outpos := !outpos + 3;
-          for p = pos to pos + l - 1 do
-            insert p
-          done;
-          step (pos + l)
-      | None ->
-          read_in pos;
-          tokens := Literal input.[pos] :: !tokens;
-          write_out !outpos;
-          incr outpos;
-          insert pos;
-          step (pos + 1)
+  let pos = ref 0 and outpos = ref 0 in
+  while !pos < len do
+    let p = !pos in
+    let l = find_match p in
+    if l > 0 then begin
+      if keep_tokens then
+        tokens := Match { distance = p - !best_pos; length = l } :: !tokens;
+      write_out !outpos;
+      outpos := !outpos + 3;
+      for q = p to p + l - 1 do
+        insert q
+      done;
+      pos := p + l
     end
-  in
-  step 0;
+    else begin
+      read_in p;
+      if keep_tokens then tokens := Literal input.[p] :: !tokens;
+      write_out !outpos;
+      incr outpos;
+      insert p;
+      pos := p + 1
+    end
+  done;
   List.rev !tokens
 
-let compress ?(base = 0) ~input () =
-  let b = Memtrace.Packed.Builder.create ~initial_capacity:(64 * 1024) () in
-  let emit ?(kind = Access.Read) ?(gap = 2) ~var off =
-    Memtrace.Packed.Builder.emit b ~kind ~var ~gap (base + off)
+(* One exact-size allocation of the four columns: a counting pass sizes the
+   builder, so it never grows and [build] hands its columns over. Every
+   access carries an instruction gap of 2. *)
+let packed_of ~keep_tokens ~base ~input =
+  let count = ref 0 in
+  ignore (compress_core ~emit:(fun _ _ _ -> incr count) ~keep_tokens:false ~input);
+  let module B = Memtrace.Packed.Builder in
+  let b = B.create ~initial_capacity:!count () in
+  let vars = Array.map (B.var b) var_names in
+  let tokens =
+    compress_core ~keep_tokens ~input ~emit:(fun kind var off ->
+        B.push b ~kind ~var:vars.(var) ~gap:2 (base + off))
   in
-  let tokens = compress_core ~emit ~input in
-  { trace = Memtrace.Packed.to_trace (Memtrace.Packed.Builder.build b);
-    tokens; input }
+  (B.build b, tokens)
+
+let compress ?(base = 0) ~input () =
+  let packed, tokens = packed_of ~keep_tokens:true ~base ~input in
+  { trace = Memtrace.Packed.to_trace packed; tokens; input }
 
 let packed_trace ?(seed = 1) ?(input_len = 16384) ~base () =
   let input_len = min input_len 0x4000 in
   let input = synthetic_input ~seed ~len:input_len in
-  let b = Memtrace.Packed.Builder.create ~initial_capacity:(64 * 1024) () in
-  let emit ?(kind = Access.Read) ?(gap = 2) ~var off =
-    Memtrace.Packed.Builder.emit b ~kind ~var ~gap (base + off)
-  in
-  ignore (compress_core ~emit ~input);
-  Memtrace.Packed.Builder.build b
+  fst (packed_of ~keep_tokens:false ~base ~input)
 
 let trace ?(seed = 1) ?(input_len = 16384) ~base () =
   let input_len = min input_len 0x4000 in

@@ -6,7 +6,7 @@
     tagged memory access, so its trace exhibits gzip's characteristic mix —
     streaming reads of the input, a hot sliding window, and scattered
     hash-head/chain probes. The per-job footprint (window + hash tables +
-    buffers, ~37 KB with defaults) comfortably exceeds a 16 KB cache, which
+    buffers, 50 KB with defaults) comfortably exceeds a 16 KB cache, which
     is what makes three concurrent jobs thrash it.
 
     Compression itself is checked by tests: {!compress} returns the token
@@ -24,7 +24,7 @@ type result = {
 }
 
 val window_size : int
-(** 4096 bytes of sliding window. *)
+(** 8192 bytes of sliding window. *)
 
 val hash_entries : int
 (** 1024 hash-chain heads. *)
@@ -49,6 +49,8 @@ val packed_trace :
   ?seed:int -> ?input_len:int -> base:int -> unit -> Memtrace.Packed.t
 (** {!trace} in columnar form: the compressor emits straight into packed
     columns, with no boxed [Access.t] built along the way — feed it to
-    {!Machine.System.run_packed}. *)
+    {!Machine.System.run_packed}. It runs the compressor twice, first to
+    count the accesses, then to fill columns allocated once at exactly
+    that size. *)
 
 val decompress : token list -> string

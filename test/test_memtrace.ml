@@ -398,6 +398,53 @@ let test_packed_var_interning () =
     && Packed.var p 1 = Some "odd"
     && Packed.var p 100 = None)
 
+(* A builder sized to its trace hands its columns to [build]; pushes after
+   that must grow into fresh columns and leave the built trace as it was. *)
+let test_packed_handover_immutable () =
+  let b = Packed.Builder.create ~initial_capacity:4 () in
+  let v = Packed.Builder.var b "v" in
+  for i = 0 to 3 do
+    Packed.Builder.push b ~kind:Access.Read ~var:v ~gap:1 (i * 16)
+  done;
+  let p = Packed.Builder.build b in
+  let before = Packed.to_list p in
+  for i = 0 to 9 do
+    Packed.Builder.push b ~kind:Access.Write ~var:Packed.Builder.untagged
+      ~gap:7 (0x1000 + i)
+  done;
+  Packed.Builder.emit b ~var:"w" 0x2000;
+  check_int "built trace keeps its length" 4 (Packed.length p);
+  check_bool "built trace keeps its accesses" true
+    (List.equal Access.equal before (Packed.to_list p));
+  check_bool "built trace keeps its var table" true
+    (Packed.var_table p = [| "v" |]);
+  let q = Packed.Builder.build b in
+  check_int "the builder kept growing" 15 (Packed.length q);
+  check_bool "and holds the earlier accesses" true
+    (List.equal Access.equal before (Packed.to_list (Packed.sub q ~pos:0 ~len:4)))
+
+(* Handles resolved ahead of use, in an order unlike the accesses': the
+   var table still lists names in order of first access, and a resolved
+   name that no access uses stays out of it. *)
+let test_packed_resolve_ahead () =
+  let b = Packed.Builder.create () in
+  let unused = Packed.Builder.var b "unused" in
+  let c = Packed.Builder.var b "c" in
+  let a = Packed.Builder.var b "a" in
+  let b' = Packed.Builder.var b "b" in
+  ignore unused;
+  check_bool "resolving is idempotent" true (Packed.Builder.var b "a" = a);
+  List.iter
+    (fun v -> Packed.Builder.push b ~kind:Access.Read ~var:v ~gap:0 0x40)
+    [ a; Packed.Builder.untagged; b'; a; c; b' ];
+  Packed.Builder.emit b ~var:"d" 0x80;
+  let p = Packed.Builder.build b in
+  check_bool "first-appearance order" true
+    (Packed.var_table p = [| "a"; "b"; "c"; "d" |]);
+  check_bool "tags index the table" true
+    (List.init (Packed.length p) (Packed.var p)
+    = [ Some "a"; None; Some "b"; Some "a"; Some "c"; Some "b"; Some "d" ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -461,6 +508,10 @@ let suites =
           test_packed_max_address;
         Alcotest.test_case "variable interning" `Quick
           test_packed_var_interning;
+        Alcotest.test_case "build hands over a full builder" `Quick
+          test_packed_handover_immutable;
+        Alcotest.test_case "tags resolved ahead of use" `Quick
+          test_packed_resolve_ahead;
       ] );
     ("memtrace.properties", qcheck_cases);
   ]

@@ -172,6 +172,62 @@ let test_lz77_packed_equals_trace () =
            (Memtrace.Packed.of_trace (Lz77.trace ~seed ~input_len ~base ()))))
     cases
 
+(* MD5 of a packed trace's four columns, access by access, then its var
+   table. *)
+let packed_digest p =
+  let module P = Memtrace.Packed in
+  let addrs = P.raw_addrs p and gaps = P.raw_gaps p in
+  let kinds = P.raw_kinds p and tags = P.raw_tags p in
+  let buf = Buffer.create ((25 * P.length p) + 64) in
+  for i = 0 to P.length p - 1 do
+    Buffer.add_int64_le buf (Int64.of_int addrs.{i});
+    Buffer.add_int64_le buf (Int64.of_int gaps.{i});
+    Buffer.add_char buf kinds.{i};
+    Buffer.add_int64_le buf (Int64.of_int tags.{i})
+  done;
+  Array.iter
+    (fun v ->
+      Buffer.add_string buf v;
+      Buffer.add_char buf '\000')
+    (P.var_table p);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The jobs of every experiment and of test/fig5.t, pinned by the length
+   and digest the generator produced before its emission path was rebuilt
+   around a counting pass. [packed_trace] and [trace] share one compressor
+   core, so comparing them to each other cannot catch a change to it. *)
+let lz77_pins =
+  [
+    (1, 12288, 0x000000, 325780, "d4fc66ab32258af5aa359bc4f9274c0b");
+    (2, 12288, 0x100000, 327809, "428646dce3f4eee53bae1dcc21adb5d0");
+    (3, 12288, 0x200000, 329282, "2a186c1284ed74ad48381cc8d29f1c5c");
+    (1, 8192, 0x000000, 212679, "3d2f33ee442ad738c21c67259dfb95a9");
+    (2, 8192, 0x100000, 211598, "dd7490fb57a65d0d8220f440e8353a52");
+    (3, 8192, 0x200000, 214655, "87868a068cc3642b57d01500622ac3f7");
+    (1, 4096, 0x000000, 98241, "16e8594c030b1a184ca8d57494de79ab");
+    (2, 4096, 0x100000, 97696, "3b642c5cbd51c91d79c3c3d5c2c369b2");
+    (3, 4096, 0x200000, 99133, "8e70671feb68f22afc2d82b0c15cef00");
+    (1, 1024, 0x000000, 15573, "78f37e93f1fd38bd0634d4a411446b94");
+    (2, 1024, 0x100000, 15606, "856f4e457eb8410727804e1e648b8022");
+    (3, 1024, 0x200000, 15401, "8afa95d68076a218a8ca580867630141");
+    (11, 8192, 0x000000, 213044, "9cae0d233d8d3f74267cf36d2c565332");
+  ]
+
+let test_lz77_pinned () =
+  List.iter
+    (fun (seed, input_len, base, len, digest) ->
+      let p = Lz77.packed_trace ~seed ~input_len ~base () in
+      let name =
+        Printf.sprintf "seed %d, %d bytes, base 0x%x" seed input_len base
+      in
+      check_int (name ^ ": length") len (Memtrace.Packed.length p);
+      Alcotest.(check string) (name ^ ": digest") digest (packed_digest p);
+      Alcotest.(check (array string))
+        (name ^ ": var table")
+        [| "inbuf"; "hash_head"; "outbuf"; "hash_prev"; "window" |]
+        (Memtrace.Packed.var_table p))
+    lz77_pins
+
 let test_lz77_match_distances_bounded () =
   let input = Lz77.synthetic_input ~seed:5 ~len:8192 in
   let r = Lz77.compress ~input () in
@@ -336,6 +392,7 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_lz77_deterministic;
         Alcotest.test_case "packed_trace = packed trace" `Quick
           test_lz77_packed_equals_trace;
+        Alcotest.test_case "pinned jobs" `Quick test_lz77_pinned;
         Alcotest.test_case "match bounds" `Quick test_lz77_match_distances_bounded;
         Alcotest.test_case "oversized input" `Quick test_lz77_oversized_input_rejected;
       ] );
