@@ -124,15 +124,27 @@ let fig5_cmd =
   let input_len =
     Arg.(
       value & opt int 12288
-      & info [ "input-len" ] ~docv:"BYTES" ~doc:"Input size per gzip job.")
+      & info [ "input-len" ] ~docv:"BYTES"
+          ~doc:"Input size per gzip job, 1 to 16384 bytes.")
   in
   let run input_len =
     Colcache.Experiments.Fig5.print ppf
       (Colcache.Experiments.Fig5.run ~input_len ())
   in
+  (* The LZ77 jobs compress through a 16 KiB input buffer; the library
+     clamps longer inputs, and shorter than one byte leaves nothing to
+     run. *)
+  let run_checked input_len =
+    if input_len < 1 || input_len > 16384 then
+      `Error
+        ( false,
+          Printf.sprintf "--input-len must lie in 1..16384 bytes, got %d"
+            input_len )
+    else `Ok (run input_len)
+  in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Multitasking CPI vs time quantum (Figure 5).")
-    Term.(const run $ input_len)
+    Term.(ret (const run_checked $ input_len))
 
 let ablations_cmd =
   let run () =
@@ -435,6 +447,17 @@ let trace_cmd =
           synthesize huge traces out of core.")
     [ trace_dump_cmd; trace_pack_cmd; trace_info_cmd; trace_synth_cmd ]
 
+(* The geometry flags of the set-indexed engines, checked in the command's
+   term so that a bad value is a one-line error naming the flag (exit 124)
+   rather than an engine's exception. *)
+let geometry_error ~line_size ~sets =
+  let power_of_two n = n > 0 && n land (n - 1) = 0 in
+  if not (power_of_two line_size) then
+    Some (Printf.sprintf "--line-size must be a power of two, got %d" line_size)
+  else if not (power_of_two sets) then
+    Some (Printf.sprintf "--sets must be a power of two, got %d" sets)
+  else None
+
 let mrc_cmd =
   let file =
     Arg.(
@@ -614,77 +637,71 @@ let mrc_cmd =
      file. *)
   let run_checked file line_size sets ways sample_rate budget seed compare
       jobs window epochs =
-    let power_of_two n = n > 0 && n land (n - 1) = 0 in
-    if not (power_of_two line_size) then
-      `Error
-        ( false,
-          Printf.sprintf "--line-size must be a power of two, got %d" line_size
-        )
-    else if not (power_of_two sets) then
-      `Error
-        (false, Printf.sprintf "--sets must be a power of two, got %d" sets)
-    else if ways < 1 then
-      `Error (false, Printf.sprintf "--ways must be at least 1, got %d" ways)
-    else if
-      match sample_rate with Some r -> not (r > 0. && r <= 1.) | None -> false
-    then
-      `Error
-        ( false,
-          Printf.sprintf "--sample-rate must lie in (0, 1], got %g"
-            (Option.get sample_rate) )
-    else if match budget with Some l -> l < 1 | None -> false then
-      `Error
-        ( false,
-          Printf.sprintf "--budget must be at least 1 line, got %d"
-            (Option.get budget) )
-    else if jobs <= 0 then
-      `Error
-        ( false,
-          Printf.sprintf "--jobs must be a positive domain count, got %d" jobs
-        )
-    else if jobs > sets then
-      `Error
-        ( false,
-          Printf.sprintf "--jobs exceeds the set count: %d shards for %d sets"
-            jobs sets )
-    else if jobs > 1 && budget <> None then
-      `Error
-        ( false,
-          "--jobs cannot shard a --budget run: fixed-budget set eviction is \
-           order-dependent" )
-    else if jobs > 1 && window <> None then
-      `Error
-        ( false,
-          "--jobs cannot shard a --window run: the rolling window is \
-           inherently sequential" )
-    else
-      match window with
-      | Some _ when sample_rate <> None ->
+    match geometry_error ~line_size ~sets with
+    | Some msg -> `Error (false, msg)
+    | None ->
+        if ways < 1 then
+          `Error (false, Printf.sprintf "--ways must be at least 1, got %d" ways)
+        else if
+          match sample_rate with Some r -> not (r > 0. && r <= 1.) | None -> false
+        then
           `Error
             ( false,
-              "--window is a rolling exact curve; it cannot combine with \
-               --sample-rate" )
-      | Some w when w <= 0 ->
+              Printf.sprintf "--sample-rate must lie in (0, 1], got %g"
+                (Option.get sample_rate) )
+        else if match budget with Some l -> l < 1 | None -> false then
           `Error
             ( false,
-              Printf.sprintf "--window must be a positive access count, got %d"
-                w )
-      | Some _ when epochs <= 0 ->
+              Printf.sprintf "--budget must be at least 1 line, got %d"
+                (Option.get budget) )
+        else if jobs <= 0 then
           `Error
             ( false,
-              Printf.sprintf "--epochs must be a positive epoch count, got %d"
-                epochs )
-      | Some w when w mod epochs <> 0 ->
+              Printf.sprintf "--jobs must be a positive domain count, got %d" jobs
+            )
+        else if jobs > sets then
           `Error
             ( false,
-              Printf.sprintf
-                "--window must be a multiple of --epochs: window %d, epochs \
-                 %d"
-                w epochs )
-      | Some _ | None ->
-          `Ok
-            (run file line_size sets ways sample_rate budget seed compare
-               jobs window epochs)
+              Printf.sprintf "--jobs exceeds the set count: %d shards for %d sets"
+                jobs sets )
+        else if jobs > 1 && budget <> None then
+          `Error
+            ( false,
+              "--jobs cannot shard a --budget run: fixed-budget set eviction is \
+               order-dependent" )
+        else if jobs > 1 && window <> None then
+          `Error
+            ( false,
+              "--jobs cannot shard a --window run: the rolling window is \
+               inherently sequential" )
+        else
+          match window with
+          | Some _ when sample_rate <> None ->
+              `Error
+                ( false,
+                  "--window is a rolling exact curve; it cannot combine with \
+                   --sample-rate" )
+          | Some w when w <= 0 ->
+              `Error
+                ( false,
+                  Printf.sprintf "--window must be a positive access count, got %d"
+                    w )
+          | Some _ when epochs <= 0 ->
+              `Error
+                ( false,
+                  Printf.sprintf "--epochs must be a positive epoch count, got %d"
+                    epochs )
+          | Some w when w mod epochs <> 0 ->
+              `Error
+                ( false,
+                  Printf.sprintf
+                    "--window must be a multiple of --epochs: window %d, epochs \
+                     %d"
+                    w epochs )
+          | Some _ | None ->
+              `Ok
+                (run file line_size sets ways sample_rate budget seed compare
+                   jobs window epochs)
   in
   Cmd.v
     (Cmd.info "mrc"
@@ -1201,6 +1218,13 @@ let wcet_cmd =
           (if Float.is_finite worst then string_of_int (int_of_float worst)
            else "unbounded")
   in
+  let run_checked file proc line_size sets ways alloc compare =
+    match geometry_error ~line_size ~sets with
+    | Some msg -> `Error (false, msg)
+    | None when ways < 0 ->
+        `Error (false, Printf.sprintf "--ways must not be negative, got %d" ways)
+    | None -> `Ok (run file proc line_size sets ways alloc compare)
+  in
   Cmd.v
     (Cmd.info "wcet"
        ~doc:
@@ -1209,7 +1233,9 @@ let wcet_cmd =
           cycle bounds per procedure, and optionally ($(b,--alloc)) a \
           WCET-aware split of the cache columns across the procedures.")
     Term.(
-      const run $ file $ proc $ line_size $ sets $ ways $ alloc $ compare)
+      ret
+        (const run_checked $ file $ proc $ line_size $ sets $ ways $ alloc
+       $ compare))
 
 let replay_cmd =
   let file =

@@ -14,6 +14,12 @@
     The planted {!Oracle.Wcet} mutation flips the must-domain join to an
     unsound union, which these checks catch within a handful of seeds. *)
 
+val gen_program : Prng.t -> Ir.Ast.program
+(** A random valid program from the analyzable core, the one each
+    {!run_one} checks: constant loop bounds, terminating Whiles and clamped
+    indices, so its procedure ["main"] never traps, whatever the variables'
+    initial values. *)
+
 val run_one : ?bug:Oracle.bug -> seed:int -> unit -> (unit, string) result
 (** [run_one ~seed ()] is [Ok ()] when every bound holds; [Error detail]
     carries the seed, the violated bound and the program text.

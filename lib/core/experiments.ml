@@ -443,10 +443,6 @@ module Ablation_page_coloring = struct
         Workloads.Mpeg.program
     in
     let procs = Workloads.Mpeg.routines in
-    let combined =
-      Memtrace.Trace.concat
-        (List.map (fun proc -> Pipeline.trace_of t_dm ~proc) procs)
-    in
     let packed = List.map (fun proc -> Pipeline.packed_trace_of t_dm ~proc) procs in
     (* Both direct-mapped arms are plain LRU sweeps over the same traces:
        one stack-distance pass each, the colored one translated through the
@@ -487,7 +483,7 @@ module Ablation_page_coloring = struct
     in
     let naive = run_configured (fun _ -> ()) in
     let colored =
-      let coloring = coloring_for (Profile.Lifetime.of_trace combined) in
+      let coloring = coloring_for (Profile.Lifetime.of_packed packed) in
       run_configured
         ~translate:
           (Vm.Frame_map.translate (Layout.Page_coloring.frame_map coloring))
@@ -520,7 +516,7 @@ module Ablation_page_coloring = struct
     (* adaptation cost: per-procedure placements for dequant vs idct *)
     let per_proc proc =
       coloring_for
-        (Profile.Lifetime.of_trace (Pipeline.trace_of t_dm ~proc))
+        (Pipeline.summaries t_dm ~proc ~meth:Pipeline.Profile_based)
     in
     let recolor_bytes =
       Layout.Page_coloring.recolor_cost_bytes ~from_:(per_proc "dequant")
@@ -1022,7 +1018,9 @@ module Ablation_optimizer = struct
     in
     List.map
       (fun routine ->
-        let accesses t = Memtrace.Trace.length (Pipeline.trace_of t ~proc:routine) in
+        let accesses t =
+          Memtrace.Packed.length (Pipeline.packed_trace_of t ~proc:routine)
+        in
         let standard t = (Pipeline.run_standard t ~proc:routine).Machine.Run_stats.cycles in
         let column t =
           (snd (Pipeline.best_split t ~proc:routine ~meth)).Machine.Run_stats.cycles

@@ -4,7 +4,8 @@ type weight_method =
 
 (* Interpreting the IF program is by far the most expensive step of a
    configuration sweep, and every sweep point replays the same traces and
-   re-derives the same regions. The memo caches them per pipeline value.
+   re-derives the same regions. The memo caches them per pipeline value:
+   one packed trace per procedure, which replay and profiling both read.
    Guarded by a mutex because the experiment runner shares nothing {e
    between} tasks but a future caller might share a pipeline across domains;
    computation happens outside the lock (trace interpretation is slow and
@@ -12,7 +13,6 @@ type weight_method =
    one value. *)
 type memo = {
   lock : Mutex.t;
-  traces : (string, Memtrace.Trace.t) Hashtbl.t;  (* per proc *)
   packed : (string, Memtrace.Packed.t) Hashtbl.t;  (* per proc *)
   copy_in : (string, string list) Hashtbl.t;  (* per proc *)
   regions : (string, Layout.Region.t list) Hashtbl.t;  (* per meth:proc *)
@@ -48,7 +48,6 @@ let make ?(page_size = 256) ?(tlb_entries = 32) ?(init = fun _ _ -> 0)
   let memo =
     {
       lock = Mutex.create ();
-      traces = Hashtbl.create 8;
       packed = Hashtbl.create 8;
       copy_in = Hashtbl.create 8;
       regions = Hashtbl.create 8;
@@ -84,15 +83,12 @@ let meth_key = function
 let columns t = t.cache.Cache.Sassoc.ways
 let column_size t = Cache.Sassoc.column_size_bytes t.cache
 
-let trace_of t ~proc =
-  memo_get t.memo t.memo.traces proc (fun () ->
-      Ir.Interp.trace_of ~init:t.init t.program ~proc
-        ~layout:(Layout.Address_map.to_ir_layout t.address_map))
-
 let packed_trace_of t ~proc =
   memo_get t.memo t.memo.packed proc (fun () ->
       Ir.Interp.packed_trace_of ~init:t.init t.program ~proc
         ~layout:(Layout.Address_map.to_ir_layout t.address_map))
+
+let trace_of t ~proc = Memtrace.Packed.to_trace (packed_trace_of t ~proc)
 
 let vars_of_proc t ~proc =
   List.map
@@ -104,34 +100,23 @@ let vars_of_proc t ~proc =
 
 let summaries t ~proc ~meth =
   match meth with
-  | Profile_based -> Profile.Lifetime.of_trace (trace_of t ~proc)
+  | Profile_based -> Profile.Lifetime.of_packed [ packed_trace_of t ~proc ]
   | Program_analysis ->
       Ir.Static_analysis.analyze ~default_trip_count:t.default_trip_count
         t.program ~proc
 
-(* Classifier mapping an access to its region name under the current
-   address map and column size: exact per-subarray profiling. *)
-let region_classifier t ~vars =
-  let spans =
-    List.map
-      (fun (name, size) ->
-        (name, Layout.Address_map.base_of t.address_map name, size))
-      vars
-  in
+(* Exact per-subarray profiling: each of [vars] larger than a column is
+   profiled per column-sized chunk of its placement under the address map,
+   as region ["var#k"]; accesses to other variables are not profiled. *)
+let region_summaries t ~vars traces =
   let s = column_size t in
-  fun (a : Memtrace.Access.t) ->
-    match a.Memtrace.Access.var with
-    | None -> None
-    | Some v -> (
-        match List.find_opt (fun (name, _, _) -> name = v) spans with
-        | None -> None
-        | Some (_, base, size) ->
-            if size <= s then Some v
-            else Some (Printf.sprintf "%s#%d" v ((a.Memtrace.Access.addr - base) / s)))
-
-let region_summaries_of_trace t ~vars trace =
-  Profile.Lifetime.of_trace_classified trace
-    ~classify:(region_classifier t ~vars)
+  Profile.Lifetime.of_packed_classified traces ~rule:(fun name ->
+      match List.assoc_opt name vars with
+      | None -> Profile.Lifetime.Skip
+      | Some size when size <= s -> Profile.Lifetime.Whole
+      | Some _ ->
+          Profile.Lifetime.Split
+            { base = Layout.Address_map.base_of t.address_map name; chunk = s })
 
 let regions t ~proc ~meth =
   memo_get t.memo t.memo.regions
@@ -140,7 +125,7 @@ let regions t ~proc ~meth =
       let vars = vars_of_proc t ~proc in
       let region_summaries =
         match meth with
-        | Profile_based -> region_summaries_of_trace t ~vars (trace_of t ~proc)
+        | Profile_based -> region_summaries t ~vars [ packed_trace_of t ~proc ]
         | Program_analysis -> []
       in
       Layout.Region.split_vars ~region_summaries ~column_size:(column_size t)
@@ -158,25 +143,35 @@ let partition ?forced_scratchpad ?mode t ~proc ~scratchpad_columns ~meth =
 (* Variables both read and written during a run hold in-place working data:
    pinning them to scratchpad requires a real copy-in (see
    {!Layout.Partition.apply}). *)
-let copy_in_vars trace =
+let copy_in_vars traces =
   let reads = Hashtbl.create 16 and writes = Hashtbl.create 16 in
-  Memtrace.Trace.iter
-    (fun a ->
-      match a.Memtrace.Access.var with
-      | None -> ()
-      | Some v -> (
-          match a.Memtrace.Access.kind with
-          | Memtrace.Access.Read | Memtrace.Access.Ifetch ->
-              Hashtbl.replace reads v ()
-          | Memtrace.Access.Write -> Hashtbl.replace writes v ()))
-    trace;
+  List.iter
+    (fun trace ->
+      let names = Memtrace.Packed.var_table trace in
+      let read = Array.make (Array.length names) false in
+      let written = Array.make (Array.length names) false in
+      let tags = Memtrace.Packed.raw_tags trace in
+      let kinds = Memtrace.Packed.raw_kinds trace in
+      for i = 0 to Memtrace.Packed.length trace - 1 do
+        let tag = Bigarray.Array1.unsafe_get tags i in
+        if tag >= 0 then
+          match Memtrace.Packed.kind_at kinds i with
+          | Memtrace.Access.Read | Memtrace.Access.Ifetch -> read.(tag) <- true
+          | Memtrace.Access.Write -> written.(tag) <- true
+      done;
+      Array.iteri
+        (fun tag name ->
+          if read.(tag) then Hashtbl.replace reads name ();
+          if written.(tag) then Hashtbl.replace writes name ())
+        names)
+    traces;
   Hashtbl.fold
     (fun v () acc -> if Hashtbl.mem writes v then v :: acc else acc)
     reads []
 
 let copy_in_of t ~proc =
   memo_get t.memo t.memo.copy_in proc (fun () ->
-      copy_in_vars (trace_of t ~proc))
+      copy_in_vars [ packed_trace_of t ~proc ])
 
 let fresh_system t =
   Machine.System.create
@@ -281,9 +276,8 @@ let dynamic_schedule ?mode t ~procs ~meth =
       (fun proc ->
         let p, _ = best_split ~allow_uncached:false ?mode t ~proc ~meth in
         let part = partition ?mode t ~proc ~scratchpad_columns:p ~meth in
-        let trace = trace_of t ~proc in
         ( Layout.Dynamic.phase ~copy_in:(copy_in_of t ~proc) ~label:proc part,
-          trace ))
+          packed_trace_of t ~proc ))
       procs
   in
   ( Layout.Dynamic.schedule (List.map fst phased),
@@ -340,11 +334,10 @@ let static_app_layout t ~procs ~meth =
   memo_get t.memo t.memo.app
     (meth_key meth ^ ":" ^ String.concat "\x00" procs)
     (fun () ->
-      let traces = List.map (fun proc -> trace_of t ~proc) procs in
-      let combined = Memtrace.Trace.concat traces in
+      let traces = List.map (fun proc -> packed_trace_of t ~proc) procs in
       let summaries =
         match meth with
-        | Profile_based -> Profile.Lifetime.of_trace combined
+        | Profile_based -> Profile.Lifetime.of_packed traces
         | Program_analysis -> combined_static_summaries t ~procs
       in
       let vars =
@@ -363,14 +356,14 @@ let static_app_layout t ~procs ~meth =
       in
       let region_summaries =
         match meth with
-        | Profile_based -> region_summaries_of_trace t ~vars combined
+        | Profile_based -> region_summaries t ~vars traces
         | Program_analysis -> []
       in
       let regions =
         Layout.Region.split_vars ~region_summaries
           ~column_size:(column_size t) ~vars ~summaries ()
       in
-      (regions, copy_in_vars combined))
+      (regions, copy_in_vars traces))
 
 let run_static_app ?mode t ~procs ~scratchpad_columns ~meth =
   let regions, copy_in = static_app_layout t ~procs ~meth in

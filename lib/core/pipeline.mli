@@ -15,9 +15,9 @@ type memo
 (** Per-pipeline cache of interpreted traces, derived regions and copy-in
     sets. Sweeps evaluate many configuration points over the same
     procedures; the expensive trace interpretation happens once per
-    procedure instead of once per point. Thread-safe; transparent to
-    callers (every cached value is deterministic in the pipeline's
-    fields). *)
+    procedure instead of once per point, into one packed trace that replay
+    and profiling both read. Thread-safe; transparent to callers (every
+    cached value is deterministic in the pipeline's fields). *)
 
 type t = {
   program : Ir.Ast.program;
@@ -49,16 +49,24 @@ val make :
 val columns : t -> int
 val column_size : t -> int
 
-val trace_of : t -> proc:string -> Memtrace.Trace.t
-
 val packed_trace_of : t -> proc:string -> Memtrace.Packed.t
-(** [trace_of] in columnar form, with no boxed [Access.t] built along the
-    way — feed it to {!Machine.System.run_packed}. *)
+(** The procedure's trace under the pipeline's address map, interpreted
+    once per pipeline and procedure — feed it to
+    {!Machine.System.run_packed}. *)
+
+val trace_of : t -> proc:string -> Memtrace.Trace.t
+(** {!packed_trace_of} boxed into a fresh {!Memtrace.Trace.t} on every
+    call, for consumers of the boxed form. *)
 
 val summaries :
   t -> proc:string -> meth:weight_method -> (string * Profile.Lifetime.summary) list
 
 val regions : t -> proc:string -> meth:weight_method -> Layout.Region.t list
+
+val copy_in_of : t -> proc:string -> string list
+(** The variables the procedure both reads and writes, which need a real
+    copy when pinned to scratchpad (see {!Layout.Partition.apply}). A set:
+    the order of the list carries no meaning. *)
 
 val partition :
   ?forced_scratchpad:string list ->
@@ -113,7 +121,7 @@ val best_split :
 val dynamic_schedule :
   ?mode:Layout.Partition.mode ->
   t -> procs:string list -> meth:weight_method ->
-  Layout.Dynamic.schedule * (string * Memtrace.Trace.t) list
+  Layout.Dynamic.schedule * (string * Memtrace.Packed.t) list
 (** Build the Section 3.2 schedule: each procedure's best
     (uncached-free) layout as one phase, plus the traces keyed by phase
     label, ready for {!Layout.Dynamic.run}. *)

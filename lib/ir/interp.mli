@@ -5,7 +5,15 @@
     [Scalar]/[Load]/[Store]/[Assign_scalar] emits one tagged memory access
     at the address assigned by the data layout. ALU and control operations
     accumulate into the next access's [gap], so traces carry a realistic
-    instruction count and the machine model can report CPI. *)
+    instruction count and the machine model can report CPI.
+
+    A run resolves every name the entry procedure reaches before it
+    executes anything: variables to their cells, layout base and trace tag,
+    registers to slots of a register file, calls to the callee's resolved
+    body. Execution then does no lookup by name, and an access allocates
+    nothing beyond the growth of the trace's columns. A name that does not
+    resolve fails only when execution reaches it, with the error a
+    statement-by-statement walk of the tree would raise there. *)
 
 exception Interp_error of string
 
@@ -39,6 +47,16 @@ val run :
     [While] loops. The program must already be valid (see
     {!Ast.validate}). *)
 
+val run_packed :
+  ?init:(string -> int -> int) ->
+  ?max_steps:int ->
+  Ast.program ->
+  proc:string ->
+  layout:(string * int) list ->
+  Memtrace.Packed.t * (string -> int array)
+(** {!run} with the trace in the columnar form the interpreter emits into,
+    and the final [memory]. *)
+
 val trace_of :
   ?init:(string -> int -> int) ->
   Ast.program ->
@@ -54,6 +72,5 @@ val packed_trace_of :
   proc:string ->
   layout:(string * int) list ->
   Memtrace.Packed.t
-(** Like {!trace_of}, but the columnar form the interpreter accumulates
-    internally, with no boxed [Access.t] built along the way — feed it to
-    {!Machine.System.run_packed}. *)
+(** {!run_packed} keeping only the trace, with no boxed [Access.t] built
+    along the way — feed it to {!Machine.System.run_packed}. *)

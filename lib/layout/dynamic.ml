@@ -245,7 +245,7 @@ let run ~system ~traces s =
         in
         let t = apply_transition ~system ~tinted ~prev:!prev phase in
         prev := Some phase.partition;
-        total := Machine.Run_stats.add !total (Machine.System.run_trace system trace);
+        total := Machine.Run_stats.add !total (Machine.System.run_packed system trace);
         t)
       s
   in

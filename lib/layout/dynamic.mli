@@ -63,7 +63,7 @@ val plan : schedule -> transition list
 
 val run :
   system:Machine.System.t ->
-  traces:(string * Memtrace.Trace.t) list ->
+  traces:(string * Memtrace.Packed.t) list ->
   schedule ->
   Machine.Run_stats.t * transition list
 (** Execute the schedule: at each phase boundary apply the delta (measuring

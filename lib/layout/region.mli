@@ -40,7 +40,7 @@ val split_vars :
     When a variable is split, each subarray's summary is looked up in
     [region_summaries] under the region's {!name} (["var#part"]) — exact
     per-subarray lifetimes from
-    {!Profile.Lifetime.of_trace_classified} — and only falls back to
+    {!Profile.Lifetime.of_packed_classified} — and only falls back to
     dividing the whole variable's summary evenly when absent. *)
 
 val pp : Format.formatter -> t -> unit

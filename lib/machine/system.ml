@@ -798,8 +798,6 @@ let replay_range t p ~pos ~stop =
   replay_loop t ~hook:Blocking ~requests:[||] ~lat:None ~pos ~stop p;
   t.cycles - before
 
-let run_trace t trace = run_packed t (Memtrace.Packed.of_trace trace)
-
 let total t = snapshot t
 let flush_cache t = Sassoc.flush t.cache
 let flush_tlb t = Vm.Tlb.flush (Vm.Mapping.tlb t.mapping)

@@ -114,15 +114,11 @@ val run : t -> Memtrace.Trace.t -> Run_stats.t
     is not 0–2 (possible in a corrupt mapped file), before it changes any
     state. *)
 
-val run_trace : t -> Memtrace.Trace.t -> Run_stats.t
-(** Like {!run} — byte-identical {!Run_stats}, pinned by the machine-level
-    differential soak — but packed into columnar form
-    ({!Memtrace.Packed}) and replayed through the batched loop. This is the
-    replay entry point the experiments use. *)
-
 val run_packed : t -> Memtrace.Packed.t -> Run_stats.t
-(** {!run_trace} without the conversion, for callers that already hold a
-    packed trace. *)
+(** Like {!run} — byte-identical {!Run_stats}, pinned by the machine-level
+    differential soak — over a trace in columnar form
+    ({!Memtrace.Packed}), replayed through the batched loop. This is the
+    replay entry point the experiments use. *)
 
 val run_packed_requests :
   t -> Memtrace.Packed.t -> requests:(int * int) array -> Run_stats.t

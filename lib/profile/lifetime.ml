@@ -20,40 +20,111 @@ let summary ?positions ~accesses ~first ~last () =
         invalid_arg "Lifetime.summary: positions outside lifetime");
   { accesses; first; last; positions }
 
-let of_trace_classified trace ~classify =
-  let tbl : (string, int list ref * int ref) Hashtbl.t = Hashtbl.create 16 in
+type rule =
+  | Skip
+  | Whole
+  | Split of {
+      base : int;
+      chunk : int;
+    }
+
+(* One bucket's access positions, in a growable int array. *)
+type bucket = {
+  name : string;
+  mutable at : int array;
+  mutable count : int;
+}
+
+(* What a tag of one trace profiles into, decided at its first access. *)
+type tag_state =
+  | Unseen
+  | Skipped
+  | Into of bucket
+  | Chunked of {
+      name : string;
+      base : int;
+      chunk : int;
+      buckets : (int, bucket) Hashtbl.t;  (* by chunk index *)
+    }
+
+let of_packed_classified traces ~rule =
+  let by_name = Hashtbl.create 16 in
   let order = ref [] in
-  Memtrace.Trace.iteri
-    (fun i a ->
-      match classify a with
-      | None -> ()
-      | Some v -> (
-          match Hashtbl.find_opt tbl v with
-          | Some (positions, count) ->
-              positions := i :: !positions;
-              incr count
-          | None ->
-              Hashtbl.add tbl v (ref [ i ], ref 1);
-              order := v :: !order))
-    trace;
+  let bucket_of name =
+    match Hashtbl.find_opt by_name name with
+    | Some b -> b
+    | None ->
+        let b = { name; at = Array.make 16 0; count = 0 } in
+        Hashtbl.add by_name name b;
+        order := b :: !order;
+        b
+  in
+  let record b pos =
+    if b.count = Array.length b.at then begin
+      let bigger = Array.make (2 * b.count) 0 in
+      Array.blit b.at 0 bigger 0 b.count;
+      b.at <- bigger
+    end;
+    b.at.(b.count) <- pos;
+    b.count <- b.count + 1
+  in
+  let chunk_bucket name buckets k =
+    match Hashtbl.find buckets k with
+    | b -> b
+    | exception Not_found ->
+        let b = bucket_of (Printf.sprintf "%s#%d" name k) in
+        Hashtbl.add buckets k b;
+        b
+  in
+  let offset = ref 0 in
+  List.iter
+    (fun trace ->
+      let names = Memtrace.Packed.var_table trace in
+      let states = Array.make (Array.length names) Unseen in
+      let tags = Memtrace.Packed.raw_tags trace in
+      let addrs = Memtrace.Packed.raw_addrs trace in
+      for i = 0 to Memtrace.Packed.length trace - 1 do
+        let tag = Bigarray.Array1.unsafe_get tags i in
+        if tag >= 0 then begin
+          let state =
+            match states.(tag) with
+            | Unseen ->
+                let name = names.(tag) in
+                let s =
+                  match rule name with
+                  | Skip -> Skipped
+                  | Whole -> Into (bucket_of name)
+                  | Split { base; chunk } ->
+                      Chunked { name; base; chunk; buckets = Hashtbl.create 8 }
+                in
+                states.(tag) <- s;
+                s
+            | s -> s
+          in
+          match state with
+          | Unseen | Skipped -> ()
+          | Into b -> record b (!offset + i)
+          | Chunked c ->
+              let k = (Bigarray.Array1.unsafe_get addrs i - c.base) / c.chunk in
+              record (chunk_bucket c.name c.buckets k) (!offset + i)
+        end
+      done;
+      offset := !offset + Memtrace.Packed.length trace)
+    traces;
   List.rev_map
-    (fun v ->
-      match Hashtbl.find_opt tbl v with
-      | None -> assert false
-      | Some (positions, count) ->
-          let ps = Array.of_list (List.rev !positions) in
-          let n = Array.length ps in
-          ( v,
-            {
-              accesses = float_of_int !count;
-              first = ps.(0);
-              last = ps.(n - 1);
-              positions = Some ps;
-            } ))
+    (fun b ->
+      let ps = Array.sub b.at 0 b.count in
+      ( b.name,
+        {
+          accesses = float_of_int b.count;
+          first = ps.(0);
+          last = ps.(b.count - 1);
+          positions = Some ps;
+        } ))
     !order
 
-let of_trace trace =
-  of_trace_classified trace ~classify:(fun a -> a.Memtrace.Access.var)
+let of_packed traces = of_packed_classified traces ~rule:(fun _ -> Whole)
+let of_trace trace = of_packed [ Memtrace.Packed.of_trace trace ]
 
 let live_at s pos = pos >= s.first && pos <= s.last
 

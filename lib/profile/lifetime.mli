@@ -8,8 +8,8 @@
     counts — only their ordering matters to the layout pass.
 
     Summaries come from two sources, mirroring the paper's two methods:
-    - the {e profile-based method}: {!of_trace} extracts exact positions of
-      every access from a run on representative data;
+    - the {e profile-based method}: {!of_packed} extracts exact positions
+      of every access from a run on representative data;
     - the {e program-analysis method}: {!module:Ir.Static_analysis} estimates
       counts and intervals from the intermediate form; such summaries carry
       no positions and overlap counts fall back to a uniform-distribution
@@ -30,21 +30,37 @@ val summary :
 (** Raises [Invalid_argument] when [last < first], [accesses < 0], or the
     positions array is not ascending or lies outside [first,last]. *)
 
-val of_trace : Memtrace.Trace.t -> (string * summary) list
+val of_packed : Memtrace.Packed.t list -> (string * summary) list
 (** One summary per tagged variable (untagged accesses are ignored), in
-    order of first appearance. Positions are trace indices. *)
+    order of first appearance. The traces are profiled as one run, laid end
+    to end: positions are indices into their concatenation. *)
 
-val of_trace_classified :
-  Memtrace.Trace.t ->
-  classify:(Memtrace.Access.t -> string option) ->
+val of_trace : Memtrace.Trace.t -> (string * summary) list
+(** [of_packed] of the one trace. *)
+
+(** How {!of_packed_classified} profiles the accesses of one variable. *)
+type rule =
+  | Skip  (** not profiled *)
+  | Whole  (** one summary under the variable's name *)
+  | Split of {
+      base : int;
+      chunk : int;
+    }
+      (** one summary per [chunk]-byte subarray: an access at [addr] goes
+          to ["name#k"] with [k = (addr - base) / chunk] *)
+
+val of_packed_classified :
+  Memtrace.Packed.t list ->
+  rule:(string -> rule) ->
   (string * summary) list
-(** Like {!of_trace} but the caller names the bucket of each access
-    ([None] skips it). Used to profile {e subarrays}: the layout pass splits
-    variables larger than a column (paper Section 3.1 step 1), and because
-    the profile has exact addresses, each subarray can get its own exact
-    lifetime instead of inheriting the whole variable's — the program
-    analysis method cannot do this, which is part of the two methods'
-    accuracy gap. *)
+(** Like {!of_packed}, with each variable profiled as [rule] says ([rule]
+    is asked once per variable and trace). Used to profile {e subarrays}:
+    the layout pass splits variables larger than a column (paper Section
+    3.1 step 1), and because the profile has exact addresses, each subarray
+    can get its own exact lifetime instead of inheriting the whole
+    variable's — the program analysis method cannot do this, which is part
+    of the two methods' accuracy gap. Summaries are in order of first
+    appearance, whatever their rule. *)
 
 val live_at : summary -> int -> bool
 val overlap : summary -> summary -> (int * int) option

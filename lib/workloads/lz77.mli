@@ -43,7 +43,9 @@ val compress : ?base:int -> input:string -> unit -> result
 
 val trace : ?seed:int -> ?input_len:int -> base:int -> unit -> Memtrace.Trace.t
 (** [compress] over a {!synthetic_input}; trace only. Default input length
-    16 KiB. *)
+    16 KiB. An [input_len] above 16 KiB, the compressor's input buffer, is
+    clamped to 16 KiB without notice. A negative one raises
+    [Invalid_argument]; 0 gives an empty trace. *)
 
 val packed_trace :
   ?seed:int -> ?input_len:int -> base:int -> unit -> Memtrace.Packed.t
@@ -51,6 +53,6 @@ val packed_trace :
     columns, with no boxed [Access.t] built along the way — feed it to
     {!Machine.System.run_packed}. It runs the compressor twice, first to
     count the accesses, then to fill columns allocated once at exactly
-    that size. *)
+    that size. [input_len] is clamped as in {!trace}. *)
 
 val decompress : token list -> string

@@ -43,6 +43,8 @@ let trace_over names =
            ~count:32 ~stride:8 ())
        names)
 
+let packed_over names = Memtrace.Packed.of_trace (trace_over names)
+
 (* --- validation --- *)
 
 let test_phase_rejects_uncached () =
@@ -135,7 +137,7 @@ let test_run_measures_costs () =
     Dynamic.schedule
       [ Dynamic.phase ~label:"one" p1; Dynamic.phase ~label:"two" p1 ]
   in
-  let traces = [ ("one", trace_over [ "a"; "b" ]); ("two", trace_over [ "a"; "b" ]) ] in
+  let traces = [ ("one", packed_over [ "a"; "b" ]); ("two", packed_over [ "a"; "b" ]) ] in
   let stats, transitions = Dynamic.run ~system:(fresh_system ()) ~traces s in
   check_bool "ran some instructions" true (stats.Machine.Run_stats.instructions > 0);
   (match transitions with
@@ -161,7 +163,7 @@ let test_run_single_phase_matches_static_apply () =
   let trace = trace_over [ "a"; "b"; "c" ] in
   let dyn_stats, _ =
     Dynamic.run ~system:(fresh_system ())
-      ~traces:[ ("only", trace) ]
+      ~traces:[ ("only", Memtrace.Packed.of_trace trace) ]
       (Dynamic.schedule [ Dynamic.phase ~label:"only" p1 ])
   in
   let system = fresh_system () in
@@ -189,9 +191,9 @@ let test_run_preloads_displaced_scratchpad () =
   in
   let traces =
     [
-      ("one", trace_over [ "a" ]);
-      ("two", trace_over [ "c" ]);
-      ("three", trace_over [ "a" ]);
+      ("one", packed_over [ "a" ]);
+      ("two", packed_over [ "c" ]);
+      ("three", packed_over [ "a" ]);
     ]
   in
   let system = fresh_system () in
@@ -209,7 +211,7 @@ let test_run_preloads_displaced_scratchpad () =
     in
     (* now apply phase three by hand through the same machinery *)
     let _, _ =
-      Dynamic.run ~system:system2 ~traces:[ ("three", trace_over [ "a" ]) ]
+      Dynamic.run ~system:system2 ~traces:[ ("three", packed_over [ "a" ]) ]
         (Dynamic.schedule [ Dynamic.phase ~label:"three" p1 ])
     in
     Machine.System.total system2

@@ -314,7 +314,7 @@ let test_scratchpad_overlap_variants () =
   check_int "rejected regions don't count" 512 (System.scratchpad_bytes sys)
 
 (* --- batched replay vs the scalar reference ---
-   [System.run_trace] promises byte-identical [Run_stats]; pin it across
+   [System.run_packed] promises byte-identical [Run_stats]; pin it across
    every machine feature the memoized fast path must respect. *)
 
 let check_run_stats name (a : Run_stats.t) (b : Run_stats.t) =
@@ -360,7 +360,7 @@ let both_drivers mk trace =
   let scalar = mk () in
   let batched = mk () in
   let rs = System.run scalar trace in
-  let rb = System.run_trace batched trace in
+  let rb = System.run_packed batched (Memtrace.Packed.of_trace trace) in
   (rs, rb, scalar, batched)
 
 let test_batched_matches_scalar_plain () =
@@ -456,17 +456,17 @@ let test_batched_matches_scalar_retint () =
   let t1 = Memtrace.Synthetic.sequential ~base:0 ~count:256 ~stride:8 () in
   let t2 = Memtrace.Synthetic.uniform_random ~seed:5 ~base:0 ~span:8192 ~count:800 () in
   check_run_stats "before retint" (System.run scalar t1)
-    (System.run_trace batched t1);
+    (System.run_packed batched (Memtrace.Packed.of_trace t1));
   reconfigure scalar;
   reconfigure batched;
   check_run_stats "after retint" (System.run scalar t2)
-    (System.run_trace batched t2);
+    (System.run_packed batched (Memtrace.Packed.of_trace t2));
   System.flush_tlb scalar;
   System.flush_tlb batched;
   System.flush_cache scalar;
   System.flush_cache batched;
   check_run_stats "after flushes" (System.run scalar t1)
-    (System.run_trace batched t1);
+    (System.run_packed batched (Memtrace.Packed.of_trace t1));
   check_run_stats "grand total" (System.total scalar) (System.total batched)
 
 (* Every machine feature, for the tests that replay each through every

@@ -238,6 +238,81 @@ let test_csv_quoting () =
     [ "a,b"; "plain,\"with,comma\""; "\"with\"\"quote\",x" ]
     lines
 
+(* --- profiling pins ---
+   Digests of what the profile-based and program-analysis methods derive
+   for the MPEG routines, recorded when profiling still read boxed traces.
+   A digest covers every name, count, lifetime and position in order. *)
+
+let add_summary b (s : Profile.Lifetime.summary) =
+  Printf.bprintf b "%h %d %d" s.accesses s.first s.last;
+  (match s.positions with
+  | None -> Buffer.add_string b " -"
+  | Some ps -> Array.iter (fun p -> Printf.bprintf b " %d" p) ps);
+  Buffer.add_char b '\n'
+
+let digest_of add items =
+  let b = Buffer.create 4096 in
+  List.iter (add b) items;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let summaries_digest =
+  digest_of (fun b (name, s) ->
+      Printf.bprintf b "%s " name;
+      add_summary b s)
+
+let regions_digest =
+  digest_of (fun b (r : Layout.Region.t) ->
+      Printf.bprintf b "%s %d %d %d %d " r.var r.part r.parts r.offset r.size;
+      add_summary b r.summary)
+
+let test_profiling_pins () =
+  let t = Lazy.force mpeg in
+  List.iter
+    (fun (proc, meth, summaries, regions) ->
+      let label =
+        match meth with
+        | Pipeline.Profile_based -> proc ^ " profile"
+        | Pipeline.Program_analysis -> proc ^ " analysis"
+      in
+      Alcotest.(check string) (label ^ " summaries") summaries
+        (summaries_digest (Pipeline.summaries t ~proc ~meth));
+      Alcotest.(check string) (label ^ " regions") regions
+        (regions_digest (Pipeline.regions t ~proc ~meth)))
+    [
+      ( "dequant", Pipeline.Profile_based,
+        "fc50d40807509e1576104601849ade22", "5441e1a1635a04621a1f6523b5870634" );
+      ( "dequant", Pipeline.Program_analysis,
+        "caf5178bac68ce6fb03daa9b0b62b508", "8bf4ecbaff86a5176b3308be8a3bcf6b" );
+      ( "plus", Pipeline.Profile_based,
+        "c56f30954d99330ede71db3a9d5504d0", "27eb8375f802dc2bc49f707728d99b5b" );
+      ( "plus", Pipeline.Program_analysis,
+        "8dc7c3b01b06f6c5a597ace4ab0c7778", "a6a31f37f08c9a5aa95106cb6645d2af" );
+      ( "idct", Pipeline.Profile_based,
+        "0f0d5b9eed9478f6ea897d32936394f9", "b09b7464a4e6503d50aa77eb6a2688af" );
+      ( "idct", Pipeline.Program_analysis,
+        "1565326c746efa96097a46cf9333fb95", "b23232a1fd96d42ced0a7350e7e8633e" );
+    ]
+
+(* Copy-in lists are sets: their consumers only ask membership. *)
+let test_copy_in_pins () =
+  let jpeg =
+    Pipeline.make ~init:Workloads.Jpeg.init
+      ~cache:(Cache.Sassoc.config ~line_size:16 ~size_bytes:2048 ~ways:4 ())
+      Workloads.Jpeg.program
+  in
+  List.iter
+    (fun (t, proc, expected) ->
+      Alcotest.(check (list string)) (proc ^ " copy-in") expected
+        (List.sort compare (Pipeline.copy_in_of t ~proc)))
+    [
+      (Lazy.force mpeg, "dequant", []);
+      (Lazy.force mpeg, "plus", []);
+      (Lazy.force mpeg, "idct", [ "blocks" ]);
+      (jpeg, "color_convert", []);
+      (jpeg, "fdct", [ "ycc" ]);
+      (jpeg, "quant_zigzag", []);
+    ]
+
 let suites =
   [
     ( "pipeline.mechanics",
@@ -251,6 +326,11 @@ let suites =
           test_packed_trace_of_matches_boxed;
         Alcotest.test_case "run_all rejects bad jobs" `Quick
           test_run_all_rejects_bad_jobs;
+      ] );
+    ( "pipeline.profile_pins",
+      [
+        Alcotest.test_case "summaries and regions" `Quick test_profiling_pins;
+        Alcotest.test_case "copy-in sets" `Quick test_copy_in_pins;
       ] );
     ( "pipeline.paper_shapes",
       [

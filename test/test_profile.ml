@@ -187,6 +187,149 @@ let prop_of_trace_accesses_sum =
       in
       total = float_of_int (List.length specs))
 
+(* --- profiling from packed columns against the boxed reference --- *)
+
+(* The reference: the boxed, per-access classifier the profiler used
+   before it read packed columns, kept as it was. *)
+let reference_classified trace ~classify =
+  let open Lifetime in
+  let tbl : (string, int list ref * int ref) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
+  Memtrace.Trace.iteri
+    (fun i a ->
+      match classify a with
+      | None -> ()
+      | Some v -> (
+          match Hashtbl.find_opt tbl v with
+          | Some (positions, count) ->
+              positions := i :: !positions;
+              incr count
+          | None ->
+              Hashtbl.add tbl v (ref [ i ], ref 1);
+              order := v :: !order))
+    trace;
+  List.rev_map
+    (fun v ->
+      match Hashtbl.find_opt tbl v with
+      | None -> assert false
+      | Some (positions, count) ->
+          let ps = Array.of_list (List.rev !positions) in
+          let n = Array.length ps in
+          ( v,
+            {
+              accesses = float_of_int !count;
+              first = ps.(0);
+              last = ps.(n - 1);
+              positions = Some ps;
+            } ))
+    !order
+
+(* A rule's meaning as a per-access classifier. *)
+let classify_by rule (a : Access.t) =
+  match a.Access.var with
+  | None -> None
+  | Some v -> (
+      match rule v with
+      | Lifetime.Skip -> None
+      | Lifetime.Whole -> Some v
+      | Lifetime.Split { base; chunk } ->
+          Some (Printf.sprintf "%s#%d" v ((a.Access.addr - base) / chunk)))
+
+(* Several traces over a few variables, some accesses untagged, and a
+   rule per variable. *)
+let gen_profile_case =
+  let open QCheck.Gen in
+  let access =
+    map3
+      (fun var addr kind -> Access.make ~kind ?var addr)
+      (oneofl [ None; Some "a"; Some "b"; Some "c"; Some "d" ])
+      (int_bound 511)
+      (oneofl [ Access.Read; Access.Write ])
+  in
+  let rule =
+    oneof
+      [
+        return Lifetime.Skip;
+        return Lifetime.Whole;
+        map2
+          (fun base chunk -> Lifetime.Split { base; chunk })
+          (int_bound 256) (oneofl [ 16; 64; 100; 512 ]);
+      ]
+  in
+  pair
+    (list_size (int_range 0 4) (list_size (int_bound 40) access))
+    (list_repeat 4 rule)
+
+let print_profile_case (traces, _) =
+  String.concat " | "
+    (List.map
+       (fun t -> String.concat " " (List.map Access.to_string t))
+       traces)
+
+let prop_packed_matches_reference =
+  QCheck.Test.make ~name:"of_packed_classified = boxed reference" ~count:500
+    (QCheck.make ~print:print_profile_case gen_profile_case)
+    (fun (traces, rules) ->
+      let rule v =
+        List.assoc v (List.combine [ "a"; "b"; "c"; "d" ] rules)
+      in
+      let packed = List.map (fun t -> Memtrace.Packed.of_list t) traces in
+      let whole = Trace.of_list (List.concat traces) in
+      Lifetime.of_packed_classified packed ~rule
+      = reference_classified whole ~classify:(classify_by rule)
+      && Lifetime.of_packed packed
+         = reference_classified whole ~classify:(fun a -> a.Access.var))
+
+let test_of_packed_offsets () =
+  (* "a" spans both traces: positions continue across the boundary *)
+  let t1 = Memtrace.Packed.of_list [ Access.make ~var:"a" 0; Access.make 4 ] in
+  let t2 =
+    Memtrace.Packed.of_list
+      [ Access.make ~var:"b" 8; Access.make ~var:"a" 0; Access.make ~var:"a" 4 ]
+  in
+  match Lifetime.of_packed [ t1; t2 ] with
+  | [ ("a", a); ("b", b) ] ->
+      check_bool "a positions" true (a.Lifetime.positions = Some [| 0; 3; 4 |]);
+      check_int "a first" 0 a.Lifetime.first;
+      check_int "a last" 4 a.Lifetime.last;
+      check_bool "b positions" true (b.Lifetime.positions = Some [| 2 |])
+  | _ -> Alcotest.fail "expected a then b"
+
+let test_of_packed_split () =
+  (* "big" splits into 16-byte chunks from base 32; "small" stays whole;
+     "other" is skipped *)
+  let t =
+    Memtrace.Packed.of_list
+      [
+        Access.make ~var:"big" 50;
+        Access.make ~var:"other" 0;
+        Access.make ~var:"small" 8;
+        Access.make ~var:"big" 33;
+        Access.make ~var:"big" 80;
+        Access.make ~var:"big" 51;
+      ]
+  in
+  let rule = function
+    | "big" -> Lifetime.Split { base = 32; chunk = 16 }
+    | "small" -> Lifetime.Whole
+    | _ -> Lifetime.Skip
+  in
+  check_bool "names in first-appearance order" true
+    (List.map fst (Lifetime.of_packed_classified [ t ] ~rule)
+    = [ "big#1"; "small"; "big#0"; "big#3" ]);
+  check_bool "big#1 twice" true
+    ((List.assoc "big#1" (Lifetime.of_packed_classified [ t ] ~rule))
+       .Lifetime.positions = Some [| 0; 5 |])
+
+let test_of_packed_empty () =
+  check_bool "no traces" true (Lifetime.of_packed [] = []);
+  check_bool "empty trace" true
+    (Lifetime.of_packed [ Memtrace.Packed.of_list [] ] = []);
+  check_bool "untagged only" true
+    (Lifetime.of_packed
+       [ Memtrace.Packed.of_list [ Access.make 0; Access.make 16 ] ]
+    = [])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -213,4 +356,11 @@ let suites =
         Alcotest.test_case "weight from trace" `Quick test_weight_from_real_trace;
       ] );
     ("profile.properties", qcheck_cases);
+    ( "profile.packed",
+      [
+        QCheck_alcotest.to_alcotest prop_packed_matches_reference;
+        Alcotest.test_case "offsets across traces" `Quick test_of_packed_offsets;
+        Alcotest.test_case "split regions" `Quick test_of_packed_split;
+        Alcotest.test_case "empty and untagged" `Quick test_of_packed_empty;
+      ] );
   ]
