@@ -447,11 +447,12 @@ let trace_cmd =
           synthesize huge traces out of core.")
     [ trace_dump_cmd; trace_pack_cmd; trace_info_cmd; trace_synth_cmd ]
 
+let power_of_two n = n > 0 && n land (n - 1) = 0
+
 (* The geometry flags of the set-indexed engines, checked in the command's
    term so that a bad value is a one-line error naming the flag (exit 124)
    rather than an engine's exception. *)
 let geometry_error ~line_size ~sets =
-  let power_of_two n = n > 0 && n land (n - 1) = 0 in
   if not (power_of_two line_size) then
     Some (Printf.sprintf "--line-size must be a power of two, got %d" line_size)
   else if not (power_of_two sets) then
@@ -1242,15 +1243,23 @@ let replay_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Trace file (colcache-trace v1).")
+      & info [] ~docv:"FILE"
+          ~doc:"Trace file (text colcache-trace v1 or packed binary).")
   in
   let size =
     Arg.(
       value & opt int 2048
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Cache size in bytes.")
+      & info [ "size" ] ~docv:"BYTES"
+          ~doc:
+            "Cache size in bytes: a multiple of 16-byte lines times $(b,--ways) \
+             that gives a power-of-two number of sets.")
   in
   let ways =
-    Arg.(value & opt int 4 & info [ "ways" ] ~docv:"N" ~doc:"Columns (ways).")
+    Arg.(
+      value & opt int 4
+      & info [ "ways" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Columns (ways), 1 to %d." Cache.Bitmask.max_columns))
   in
   let events =
     Arg.(
@@ -1277,8 +1286,25 @@ let replay_cmd =
       & info [ "banks" ] ~docv:"N"
           ~doc:"DRAM banks (one open row each) for $(b,--events).")
   in
+  let line_size = 16 in
   let run file size ways events mlp banks =
-    if mlp < 1 then
+    if ways < 1 || ways > Cache.Bitmask.max_columns then
+      `Error
+        ( false,
+          Printf.sprintf "--ways must lie in 1..%d, got %d"
+            Cache.Bitmask.max_columns ways )
+    else if
+      size <= 0
+      || size mod (line_size * ways) <> 0
+      || not (power_of_two (size / (line_size * ways)))
+    then
+      `Error
+        ( false,
+          Printf.sprintf
+            "--size must be %d-byte lines times --ways (%d) times a \
+             power-of-two set count, got %d"
+            line_size ways size )
+    else if mlp < 1 then
       `Error
         (false, Printf.sprintf "--mlp must be a positive MSHR count, got %d" mlp)
     else if banks < 1 then
@@ -1290,7 +1316,7 @@ let replay_cmd =
       (* load_packed mmaps binary traces in place, so replays of traces far
          larger than RAM stream through the batched machine path. *)
       let packed = Memtrace.Trace_file.load_packed ~path:file in
-      let cache = Cache.Sassoc.config ~line_size:16 ~size_bytes:size ~ways () in
+      let cache = Cache.Sassoc.config ~line_size ~size_bytes:size ~ways () in
       let system = Machine.System.create (Machine.System.config cache) in
       let stats =
         (* a corrupt kind byte in a mapped trace is rejected before the

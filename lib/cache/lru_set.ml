@@ -133,7 +133,10 @@ let touch t key =
     victim_key
   end
 
-let mru_slot t = t.head
+(* [touch] reporting the touched key's slot: the slot is the list head
+   afterwards whatever happened, so one int carries both it and whether
+   the key was resident. *)
+let touch_slot t key = if touch t key = hit then t.head else -1 - t.head
 
 let remove t key =
   key >= 0

@@ -24,11 +24,13 @@ val touch : t -> int -> int
     the evicted least-recently-used key (non-negative). Raises
     [Invalid_argument] on a negative key. *)
 
-val mru_slot : t -> int
-(** The slot, in [0, capacity), of the most-recently-used key — after
-    [touch t k], [k]'s slot. A key keeps its slot while it stays resident,
-    so callers can keep per-key data in a capacity-sized array. Undefined
-    on an empty set. *)
+val touch_slot : t -> int -> int
+(** {!touch}, reporting the key's slot, in [0, capacity), instead of what
+    happened to other keys: the slot when the key was resident, [-1 - slot]
+    when it was inserted (evicting the least-recently-used key if the set
+    was full). A key keeps its slot while it stays resident, so callers can
+    keep per-key data in a capacity-sized array; the TLB keeps its tints
+    that way. *)
 
 val remove : t -> int -> bool
 (** Returns whether the key was present. *)

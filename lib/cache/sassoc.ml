@@ -252,6 +252,23 @@ let access_coded t ?mask ~kind addr =
 
 let writeback_line t = t.writeback_line
 
+(* --- hot-path state (for the machine's batched replay loop) ------------ *)
+
+let lru_stamps t =
+  match t.shadow with None -> Policy.lru_stamps t.policy | Some _ -> None
+
+let raw_tags t = t.tags
+let raw_valid t = t.vmask
+let raw_pred t = t.pred
+let raw_dirty t = t.dirty
+let clock t = Policy.clock t.policy
+let set_clock t c = Policy.set_clock t.policy c
+let require_mask t mask = check_mask t ~who:"access_masked" mask
+
+let set_last_install t ~evicted ~writeback =
+  t.evicted_line <- evicted;
+  t.writeback_line <- writeback
+
 (* The batched hot path: replays a whole trace under one mask without
    constructing per-access [result] values (or any other heap block on the
    non-classifying path). Observable state afterwards — statistics, contents,

@@ -67,6 +67,57 @@ val writeback_line : t -> int
     it did not. The machine's event-driven timing prices the writeback to
     this line's DRAM bank. *)
 
+(** {2 Hot-path state}
+
+    Raw views of the cache, consumed only by the machine's batched replay
+    loop, which probes an LRU cache itself instead of calling
+    {!access_masked} once per access (dune's dev profile compiles every
+    module with [-opaque], so no call across modules is inlined). The
+    contract is {!access_masked}'s, step for step: a reference decomposes
+    its address with the geometry's shifts; a hit is the one slot of the
+    set whose tag matches (empty slots hold a negative tag, which no line
+    has); it records its way as the set's prediction, stamps the slot with
+    the incremented clock, and marks the slot dirty on a write. A miss
+    evicts the lowest empty way of the mask, else the mask's way with the
+    smallest stamp (the highest such way on a tie), counts the eviction and
+    a dirty victim's writeback, installs the tag (dirty on a write), marks
+    the way valid and predicted, stamps it and counts the way's fill. The
+    caller lands its access, hit, miss, eviction and writeback counts in
+    {!stats}, the clock through {!set_clock}, and the last miss's lines
+    through {!set_last_install}, before any other call sees the cache. The
+    machine differentials pin the contract; other code must not touch
+    these. *)
+
+val lru_stamps : t -> int array option
+(** The LRU stamp array, indexed [set * ways + way], when the policy is
+    LRU and the cache does not classify misses: the caches the loop probes
+    itself. [None] otherwise. *)
+
+val raw_tags : t -> int array
+(** Per slot ([set * ways + way]): the tag held, negative when empty. *)
+
+val raw_valid : t -> int array
+(** Per set: the bit mask of valid ways. *)
+
+val raw_pred : t -> int array
+(** Per set: the predicted way, probed before the others. *)
+
+val raw_dirty : t -> Bytes.t
+(** Per slot: ['\001'] when the line is dirty, ['\000'] otherwise. *)
+
+val clock : t -> int
+(** The replacement policy's clock: the last stamp handed out. *)
+
+val set_clock : t -> int -> unit
+
+val require_mask : t -> Bitmask.t -> unit
+(** Raises {!access_masked}'s [Invalid_argument] when the mask selects no
+    way of this cache. *)
+
+val set_last_install : t -> evicted:int -> writeback:int -> unit
+(** Record the lines the most recent miss displaced and wrote back ([-1]
+    for none), as {!writeback_line} reports them. *)
+
 val access_trace : t -> ?mask:Bitmask.t -> Memtrace.Trace.t -> unit
 (** Replay a whole trace of demand accesses under one mask. Equivalent to
     [Trace.iter (fun a -> ignore (access_record t ?mask a)) trace] — same

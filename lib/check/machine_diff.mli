@@ -12,9 +12,10 @@
     cache contents and the TLB-residency-dependent reconfiguration costs
     must agree exactly, and after each batch so must the latency of every
     window: the scalar side reads its cycle count as each window opens and
-    closes. This is what makes the batched page-crossing memoization and
-    the loop's derived cycle count trustworthy: any skipped TLB touch,
-    stale mask or miscounted cycle shows up as a divergence here. *)
+    closes. This is what makes the batched loop's own TLB lookups and LRU
+    probes and its derived cycle count trustworthy: any skipped TLB touch,
+    stale mask, unstamped way or miscounted cycle shows up as a divergence
+    here. *)
 
 type divergence = {
   step : int;

@@ -20,43 +20,7 @@ type region = {
   size : int;
 }
 
-(* The batched replay loop's state ([replay_loop]): the page memo and its
-   deferred TLB touches, the tint -> mask cache, and the counters the
-   loop's helpers accrue. One per system, allocated on its first packed
-   replay and reset at the start of every replay. *)
-let memo_size = 128
-let memo_mask = memo_size - 1
 let tint_cache_size = 8
-
-(* the [m_page] of a memo slot that holds no page *)
-let vacant = min_int
-
-type loop = {
-  page_shift : int;
-  line_shift : int;
-  (* direct-mapped page memo: slot = low bits of the page number, one
-     compare per probe. Collisions merely evict the memo entry (the next
-     access to that page pays a real — and guaranteed to hit — TLB
-     lookup); correctness never depends on memo capacity. *)
-  m_page : int array;
-  m_seq : int array; (* last use, as an access index *)
-  m_mask : Bitmask.t array;
-  m_stream : bool array;
-  m_pending : bool array; (* the slot's LRU touch is deferred *)
-  pending_slots : int array; (* deferred slots, in first-pending order *)
-  mutable pending_count : int;
-  m_used : bool array; (* installed during the current replay *)
-  used_slots : int array;
-  mutable used_count : int;
-  tint_keys : Vm.Tint.t array;
-  tint_masks : Bitmask.t array;
-  mutable tints_n : int;
-  mutable tlb_missed : bool; (* whether the last real lookup missed *)
-  mutable extra : int; (* [Blocking] charges beyond gaps and hit cycles *)
-  mutable l2_hits : int;
-  mutable l2_misses : int;
-  mutable prefetches : int;
-}
 
 type t = {
   cfg : config;
@@ -83,7 +47,11 @@ type t = {
   mutable dram_row_hits : int;
   mutable dram_row_conflicts : int;
   (* TLB counters live in the TLB itself; run deltas are snapshot-based. *)
-  mutable loop : loop option;
+  (* the batched replay's tint -> mask cache: the masks of the first few
+     tints a replay meets, valid for that replay only *)
+  tint_keys : Vm.Tint.t array;
+  tint_masks : Bitmask.t array;
+  mutable tints_n : int;
 }
 
 let create cfg =
@@ -111,7 +79,9 @@ let create cfg =
     mshr_stalls = 0;
     dram_row_hits = 0;
     dram_row_conflicts = 0;
-    loop = None;
+    tint_keys = Array.make tint_cache_size Vm.Tint.default;
+    tint_masks = Array.make tint_cache_size Bitmask.empty;
+    tints_n = 0;
   }
 
 let mapping t = t.mapping
@@ -299,296 +269,169 @@ type hook =
   | Blocking
   | Events of { engine : Event.t; inject_merge_bug : bool }
 
+(* The way of a set, based at [base] in the slot arrays, whose tag is [tag],
+   scanning from [w]; -1 when none is. Int-annotated so [=] compiles to an
+   integer compare. *)
+let rec scan_ways (tags : int array) ~base ~ways (tag : int) w =
+  if w >= ways then -1
+  else if Array.unsafe_get tags (base + w) = tag then w
+  else scan_ways tags ~base ~ways tag (w + 1)
+
+(* Index of the lowest set bit of [m], which is non-zero. *)
+let rec lowest_bit m i = if m land 1 <> 0 then i else lowest_bit (m lsr 1) (i + 1)
+
+(* tint -> mask is constant during a replay: the masks of the first few
+   tints met are kept, so the tint table (a string-keyed hash) is consulted
+   about once per tint *)
+let rec find_tint t tint_table tint i =
+  if i >= t.tints_n then begin
+    let m = Vm.Tint_table.lookup tint_table tint in
+    if i < tint_cache_size then begin
+      t.tint_keys.(i) <- tint;
+      t.tint_masks.(i) <- m;
+      t.tints_n <- i + 1
+    end;
+    m
+  end
+  else if t.tint_keys.(i) == tint || Vm.Tint.equal t.tint_keys.(i) tint then
+    t.tint_masks.(i)
+  else find_tint t tint_table tint (i + 1)
+
+(* Stream prefetch (Section 2): tagged next-line prefetching into the
+   stream's own columns, stopping where the next line's mask differs.
+   Whether a line was prefetched. *)
+let prefetch_next t hook ~line_shift ~addr ~mask =
+  let next = addr + t.cfg.cache.Sassoc.line_size in
+  let next_phys = physical t next in
+  Bitmask.equal (Vm.Mapping.mask_of_quiet t.mapping next) mask
+  && Sassoc.fill t.cache ~mask next_phys
+  && begin
+       Hashtbl.replace t.prefetch_tagged (next_phys lsr line_shift) ();
+       (match hook with
+       | Blocking -> ()
+       | Events { engine; _ } -> Event.prefetch engine ~addr:next_phys);
+       true
+     end
+
+(* The [Blocking] cycle count after [done_] accesses of a replay, relative
+   to its entry. *)
+let blocking_clock ~hit_cycles ~gap_sum ~region_n ~extra done_ =
+  gap_sum + ((done_ - region_n) * hit_cycles) + extra
+
+(* A fresh string: physically equal to no tint a page table holds, so the
+   replay's current tint starts out as none. *)
+let no_tint = Vm.Tint.make (String.make 1 '\000')
+
 (* The batched replay loop behind every packed replay. Byte-identical to
-   folding [access] over the same accesses (the machine-level differential
-   soak pins this), but organized around the invariant that during one
-   replay the page table, tint table, regions, frame map and streaming set
-   are all constant — only the TLB mutates, and only through our own
-   lookups. Hence:
+   folding [access] over the same accesses (the machine-level differentials
+   pin this), but organized around the invariant that during one replay the
+   page table, tint table, regions, frame map and streaming set are all
+   constant — only the TLB and the caches mutate, and only through the
+   loop's own references. It does a reference's work itself instead of
+   calling into the cache and TLB modules: dune's dev profile compiles every
+   module with [-opaque] (and the compiler has no flambda), so no call
+   across modules is inlined, and a dozen such calls per miss cost a third
+   of the replay's time.
 
-   - a small K-entry memo caches (page, mask, streaming?) for recently seen
-     pages. A memo hit is a guaranteed TLB hit — memo entries are
-     invalidated whenever a real lookup evicts their page, so memoized
-     implies resident — and costs no TLB lookup at all: the hit is credited
-     in bulk via [Tlb.note_hits] and its LRU touch is {e deferred}. A run
-     of guaranteed hits only reorders the touched entries to the front of
-     the LRU, so replaying one touch per memoized page, oldest last-use
-     first ([Tlb.touch_resident]), immediately before the next real TLB
-     operation reproduces the exact LRU state the per-access path builds;
-   - tint -> mask is constant too, so a page's mask is memoized with it;
-   - counters accrue in locals and in the loop state and land in [t]'s
-     fields once at the end (every counter is a sum). Under [Blocking] the
-     cycle count is derived rather than accumulated: every cached access
-     pays [hit_cycles], so the loop tracks only the gap sum, the
-     region-access count and the extra charges, and rebuilds the running
-     count when a request window opens or closes.
+   - TLB. The loop remembers the page of its last lookup. That page is the
+     TLB's most-recently-used entry, whose touch is the identity, so a
+     repeated page is credited as a hit with no lookup at all. A page
+     change makes one [Lru_set.touch_slot] on the TLB's entry set: a hit
+     reads the tint the TLB keeps in the entry's slot, a miss walks the
+     page table (unless nothing is tinted) and stores the tint there —
+     [Tlb.lookup_page_quick] step for step. A tint change looks its mask up
+     in a small per-replay cache and checks it once.
+   - Cache. An LRU cache that does not classify misses is probed in the
+     loop over [Sassoc]'s own arrays: the predicted way, then a scan; a hit
+     stamps its way with the next clock value; a miss takes the lowest
+     empty way of the mask, else the mask's smallest stamp with a
+     branch-free scan, and records the lines it displaced and wrote back.
+     Every other configuration — another policy, miss classification, a
+     streaming tint (whose prefetches fill the cache from outside the
+     loop) or the event drill (which repeats an access) — calls
+     [Sassoc.access_masked] per access instead.
+   - Counters accrue in locals and land once, after the loop: the cache's
+     statistics, clock and last displaced lines, the TLB's hits and misses,
+     and [t]'s fields (every counter is a sum). Under [Blocking] the cycle
+     count is derived rather than accumulated: every cached access pays
+     [hit_cycles], so the loop tracks only the gap sum, the region-access
+     count and the extra charges, and rebuilds the running count when a
+     request window opens or closes.
 
-   Pages overlapping a scratchpad/uncached region are never memoized:
-   region membership is per address, so each access on such a page tests
-   it, and the cached ones pay a real TLB lookup. Streaming pages and hits
-   while prefetch-tagged lines are outstanding take the prefetch steps of
-   the scalar path; their TLB behaviour is one lookup per access like any
-   other page, so they memoize fine.
-
-   The invariant holds only within one replay: between two, the caller may
-   flush the TLB, re-tint pages or remap tints. So every replay starts from
-   an empty memo and tint cache and flushes its deferred touches before it
-   returns; nothing cached survives to need invalidating. What survives is
-   the storage ([loop], one per system): a replay of a handful of accesses
-   — a round-robin slice — pays a few field resets, not an allocation of
-   the memo and the loop's helpers.
+   Pages overlapping a scratchpad or uncached region test region
+   membership per address, and their cached accesses always make a real
+   lookup. Nothing the loop remembers survives it: between two replays the
+   caller may flush the TLB, re-tint pages or remap tints, so a replay of a
+   handful of accesses — a round-robin slice — starts from scratch at the
+   cost of a few local initializations.
 
    [requests] are validated (start, stop) spans. A window opens at its
    first access and closes after its last: under [Blocking] its latency is
    the cycle delta across it, under [Events] the latest retire among its
    accesses minus the first access's issue time. *)
-let loop_state t =
-  match t.loop with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          page_shift = log2 t.cfg.page_size;
-          line_shift = log2 t.cfg.cache.Sassoc.line_size;
-          m_page = Array.make memo_size vacant;
-          m_seq = Array.make memo_size 0;
-          m_mask = Array.make memo_size Bitmask.empty;
-          m_stream = Array.make memo_size false;
-          m_pending = Array.make memo_size false;
-          pending_slots = Array.make memo_size 0;
-          pending_count = 0;
-          m_used = Array.make memo_size false;
-          used_slots = Array.make memo_size 0;
-          used_count = 0;
-          tint_keys = Array.make tint_cache_size Vm.Tint.default;
-          tint_masks = Array.make tint_cache_size Bitmask.empty;
-          tints_n = 0;
-          tlb_missed = false;
-          extra = 0;
-          l2_hits = 0;
-          l2_misses = 0;
-          prefetches = 0;
-        }
-      in
-      t.loop <- Some s;
-      s
-
-(* Empty the memo, the pending touches and the tint cache, and zero the
-   counters: only the slots the previous replay installed are reset. *)
-let reset_loop s =
-  for k = 0 to s.used_count - 1 do
-    let j = Array.unsafe_get s.used_slots k in
-    s.m_page.(j) <- vacant;
-    s.m_pending.(j) <- false;
-    s.m_used.(j) <- false
-  done;
-  s.used_count <- 0;
-  s.pending_count <- 0;
-  s.tints_n <- 0;
-  s.extra <- 0;
-  s.l2_hits <- 0;
-  s.l2_misses <- 0;
-  s.prefetches <- 0
-
-(* Replay the deferred LRU touches, oldest last use first. *)
-let flush_touches s tlb =
-  let c = s.pending_count in
-  if c > 0 then begin
-    let slots = s.pending_slots and m_seq = s.m_seq in
-    (* insertion sort by last-use seq, ascending; runs are short *)
-    for a = 1 to c - 1 do
-      let sl = slots.(a) in
-      let key = m_seq.(sl) in
-      let b = ref (a - 1) in
-      while !b >= 0 && m_seq.(slots.(!b)) > key do
-        slots.(!b + 1) <- slots.(!b);
-        decr b
-      done;
-      slots.(!b + 1) <- sl
-    done;
-    for a = 0 to c - 1 do
-      let sl = slots.(a) in
-      s.m_pending.(sl) <- false;
-      Vm.Tlb.touch_resident tlb s.m_page.(sl)
-    done;
-    s.pending_count <- 0
-  end
-
-(* A real lookup on [page]: returns its tint and sets [tlb_missed]; an
-   evicted page leaves the memo. *)
-let lookup s tlb page =
-  let tint = Vm.Tlb.lookup_page_quick tlb page in
-  let r = Vm.Tlb.last_lookup tlb in
-  s.tlb_missed <- r <> Cache.Lru_set.hit;
-  if r >= 0 then begin
-    let sl = r land memo_mask in
-    if s.m_page.(sl) = r then s.m_page.(sl) <- vacant
-  end;
-  tint
-
-(* Install [page] in memo slot [j], whose last use is access [i]. *)
-let memoize s j ~page ~i ~mask ~stream =
-  if not (Array.unsafe_get s.m_used j) then begin
-    Array.unsafe_set s.m_used j true;
-    Array.unsafe_set s.used_slots s.used_count j;
-    s.used_count <- s.used_count + 1
-  end;
-  s.m_page.(j) <- page;
-  s.m_seq.(j) <- i;
-  s.m_mask.(j) <- mask;
-  s.m_stream.(j) <- stream;
-  s.m_pending.(j) <- false
-
-(* tint -> mask is constant during a replay: the masks of the first few
-   tints met are kept, so the tint table (a string-keyed hash) is consulted
-   about once per tint *)
-let rec find_tint s tint_table tint i =
-  if i >= s.tints_n then begin
-    let m = Vm.Tint_table.lookup tint_table tint in
-    if i < tint_cache_size then begin
-      s.tint_keys.(i) <- tint;
-      s.tint_masks.(i) <- m;
-      s.tints_n <- i + 1
-    end;
-    m
-  end
-  else if s.tint_keys.(i) == tint || Vm.Tint.equal s.tint_keys.(i) tint then
-    s.tint_masks.(i)
-  else find_tint s tint_table tint (i + 1)
-
-(* [streaming]: whether any tint streams at all *)
-let is_stream t ~streaming tint =
-  streaming && Hashtbl.mem t.streaming_tints tint
-
-(* Stream prefetch (Section 2): tagged next-line prefetching into the
-   stream's own columns, stopping where the next line's mask differs. *)
-let prefetch_next t s hook ~addr ~mask =
-  let next = addr + t.cfg.cache.Sassoc.line_size in
-  let next_phys = physical t next in
-  if
-    Bitmask.equal (Vm.Mapping.mask_of_quiet t.mapping next) mask
-    && Sassoc.fill t.cache ~mask next_phys
-  then begin
-    Hashtbl.replace t.prefetch_tagged (next_phys lsr s.line_shift) ();
-    s.prefetches <- s.prefetches + 1;
-    match hook with
-    | Blocking -> ()
-    | Events { engine; _ } -> Event.prefetch engine ~addr:next_phys
-  end
-
-(* The cached half of one access after VM resolution; returns the retire
-   time under [Events] (0 under [Blocking]). *)
-let cached_access t s hook ~addr ~kind ~gap ~tlb_missed ~mask ~stream =
-  let timing = t.cfg.timing in
-  let cache = t.cache in
-  let phys = physical t addr in
-  (match hook with
-  | Blocking ->
-      if tlb_missed then s.extra <- s.extra + timing.Timing.tlb_miss_penalty
-  | Events { engine; _ } ->
-      Event.elapse engine
-        (if tlb_missed then gap + timing.Timing.tlb_miss_penalty else gap));
-  let code = Sassoc.access_masked cache ~mask ~kind phys in
-  if code = 0 then begin
-    let retire =
-      match hook with
-      | Blocking -> 0
-      | Events { engine; inject_merge_bug = false } ->
-          Event.hit engine ~line:(phys lsr s.line_shift)
-      | Events { engine; inject_merge_bug = true } ->
-          let merges = Event.merges engine in
-          let retire = Event.hit engine ~line:(phys lsr s.line_shift) in
-          (* The planted [--inject-bug event] mutation: the buggy merge
-             path replays the merged request against the cache when its
-             fill lands, as if the MSHR had not recorded the first
-             reference — the second lookup double-counts the access. *)
-          if Event.merges engine > merges then
-            ignore (Sassoc.access_masked cache ~mask ~kind phys : int);
-          retire
-    in
-    (* the first use of a prefetched line fetches the next one *)
-    if Hashtbl.length t.prefetch_tagged > 0 then begin
-      let phys_line = phys lsr s.line_shift in
-      if Hashtbl.mem t.prefetch_tagged phys_line then begin
-        Hashtbl.remove t.prefetch_tagged phys_line;
-        if stream then prefetch_next t s hook ~addr ~mask
-      end
-    end;
-    retire
-  end
-  else begin
-    (* the line comes from L2 when one is configured and holds it *)
-    let l2_hit =
-      match t.l2 with
-      | None -> false
-      | Some l2c ->
-          if Sassoc.access_coded l2c ~kind phys land 1 = 0 then begin
-            s.l2_hits <- s.l2_hits + 1;
-            true
-          end
-          else begin
-            s.l2_misses <- s.l2_misses + 1;
-            false
-          end
-    in
-    let retire =
-      match hook with
-      | Blocking ->
-          s.extra <-
-            s.extra
-            + (if l2_hit then timing.Timing.l2_hit_cycles
-               else timing.Timing.miss_penalty)
-            + if code land 2 <> 0 then timing.Timing.writeback_penalty else 0;
-          0
-      | Events { engine; _ } ->
-          let victim =
-            if code land 2 <> 0 then
-              Sassoc.writeback_line cache * t.cfg.cache.Sassoc.line_size
-            else -1
-          in
-          Event.miss engine ~line:(phys lsr s.line_shift) ~addr:phys ~victim
-            ~l2_hit
-    in
-    if stream then prefetch_next t s hook ~addr ~mask;
-    retire
-  end
-
-(* The [Blocking] cycle count after [done_] accesses of a replay, relative
-   to its entry. *)
-let blocking_clock s ~hit_cycles ~gap_sum ~region_n done_ =
-  gap_sum + ((done_ - region_n) * hit_cycles) + s.extra
-
-(* A scratchpad or uncached access: it bypasses cache and TLB. *)
-let region_access s hook ~gap ~cost =
-  match hook with
-  | Blocking ->
-      s.extra <- s.extra + cost;
-      0
-  | Events { engine; _ } ->
-      Event.elapse engine (gap + cost);
-      Event.now engine
-
 let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
-  let s = loop_state t in
-  reset_loop s;
   let addrs = Memtrace.Packed.raw_addrs p in
   let gaps = Memtrace.Packed.raw_gaps p in
   let kinds = Memtrace.Packed.raw_kinds p in
+  let write_byte = Char.chr (Memtrace.Packed.kind_code Access.Write) in
   let timing = t.cfg.timing in
   let hit_cycles = timing.Timing.hit_cycles in
-  let tlb = Vm.Mapping.tlb t.mapping in
+  let tlb_miss_penalty = timing.Timing.tlb_miss_penalty in
   let page_size = t.cfg.page_size in
-  let page_shift = s.page_shift in
-  let m_page = s.m_page and m_seq = s.m_seq and m_mask = s.m_mask in
-  let m_stream = s.m_stream and m_pending = s.m_pending in
+  let page_shift = log2 page_size in
+  let geo = t.cfg.cache in
+  let line_size = geo.Sassoc.line_size in
+  let line_shift = log2 line_size in
+  let ways = geo.Sassoc.ways in
+  let set_mask = geo.Sassoc.sets - 1 in
+  let tag_shift = log2 geo.Sassoc.sets in
+  let full = (Bitmask.full ~n:ways :> int) in
+  let cache = t.cache in
+  let stats = Sassoc.stats cache in
+  let fills = stats.Cache.Stats.fills_per_way in
+  let tags = Sassoc.raw_tags cache in
+  let vmask = Sassoc.raw_valid cache in
+  let pred = Sassoc.raw_pred cache in
+  let dirty = Sassoc.raw_dirty cache in
+  let tlb = Vm.Mapping.tlb t.mapping in
+  let tlb_lru = Vm.Tlb.lru tlb in
+  let tlb_tints = Vm.Tlb.tints tlb in
+  let page_table = Vm.Mapping.page_table t.mapping in
+  let tinted = Vm.Page_table.entries page_table > 0 in
+  let default_tint = Vm.Page_table.default_tint page_table in
   let tint_table = Vm.Mapping.tint_table t.mapping in
+  t.tints_n <- 0;
   let streaming = Hashtbl.length t.streaming_tints > 0 in
   let regions = t.scratchpads != [] || t.uncached != [] in
-  (* local counters, flushed into [t] after the loop *)
+  let frame_map = t.frame_map in
+  (* the inline probe's stamps; [[||]] on the generic path *)
+  let stamps =
+    match hook with
+    | Events { inject_merge_bug = true; _ } -> None
+    | Blocking | Events _ -> if streaming then None else Sassoc.lru_stamps cache
+  in
+  let inline = Option.is_some stamps in
+  let stamps = Option.value stamps ~default:[||] in
+  let clock = ref (Sassoc.clock cache) in
+  (* local counters, landed after the loop *)
   let gap_sum = ref 0 in
   let region_n = ref 0 in
   let scratchpad_n = ref 0 in
-  let memo_hits = ref 0 in
+  let extra = ref 0 in
+  let l2_hits = ref 0 and l2_misses = ref 0 in
+  let prefetches = ref 0 in
+  let tlb_hits = ref 0 and tlb_misses = ref 0 in
+  let probes = ref 0 and misses = ref 0 in
+  let evictions = ref 0 and writebacks = ref 0 in
+  let evicted = ref (-1) and written_back = ref (-1) in
+  (* the page of the last lookup, when it is a page with no region
+     (-1 otherwise), and its resolution *)
+  let cur_page = ref (-1) in
+  let cur_tint = ref no_tint in
+  let cur_mask = ref Bitmask.empty in
+  let cur_cand = ref 0 in
+  let cur_stream = ref false in
+  let tlb_missed = ref false in
   (* request windows: the next window's first access ([max_int] when none
      is left), the open window's last access (-1 when none is open) *)
   let n_req = Array.length requests in
@@ -600,72 +443,257 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
   for i = pos to stop - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i in
     let gap = Bigarray.Array1.unsafe_get gaps i in
-    let kind = Memtrace.Packed.kind_at kinds i in
     if i = !win_first then begin
       let _, last = requests.(!next_req) in
       win_last := last - 1;
       win_open :=
         (match hook with
         | Blocking ->
-            blocking_clock s ~hit_cycles ~gap_sum:!gap_sum
-              ~region_n:!region_n (i - pos)
+            blocking_clock ~hit_cycles ~gap_sum:!gap_sum ~region_n:!region_n
+              ~extra:!extra (i - pos)
         | Events { engine; _ } -> Event.now engine);
       win_retire := !win_open
     end;
     gap_sum := !gap_sum + gap;
     let page = addr lsr page_shift in
-    let j = page land memo_mask in
+    (* 0: cached, on the page of the last lookup; 1: cached, on a new page
+       with no region; 2: cached, on a page a region overlaps; 3:
+       scratchpad; 4: uncached *)
+    let where =
+      if page = !cur_page then 0
+      else if
+        regions
+        && (region_overlaps t.scratchpads ~base:(page lsl page_shift)
+              ~size:page_size
+           || region_overlaps t.uncached ~base:(page lsl page_shift)
+                ~size:page_size)
+      then
+        if in_region t.scratchpads addr then 3
+        else if in_region t.uncached addr then 4
+        else 2
+      else 1
+    in
     let retire =
-      if Array.unsafe_get m_page j = page then begin
-        (* memoized page: guaranteed TLB hit (credited in bulk after the
-           loop) with its LRU touch deferred *)
-        Array.unsafe_set m_seq j i;
-        if not (Array.unsafe_get m_pending j) then begin
-          Array.unsafe_set m_pending j true;
-          Array.unsafe_set s.pending_slots s.pending_count j;
-          s.pending_count <- s.pending_count + 1
-        end;
-        incr memo_hits;
-        cached_access t s hook ~addr ~kind ~gap ~tlb_missed:false
-          ~mask:(Array.unsafe_get m_mask j)
-          ~stream:(Array.unsafe_get m_stream j)
-      end
-      else begin
-        flush_touches s tlb;
-        let base = page lsl page_shift in
-        if
-          regions
-          && (region_overlaps t.scratchpads ~base ~size:page_size
-             || region_overlaps t.uncached ~base ~size:page_size)
-        then begin
-          (* mixed page: region membership is per address; the cached
-             accesses pay a real lookup and the page is never memoized *)
-          if in_region t.scratchpads addr then begin
-            incr scratchpad_n;
-            incr region_n;
-            region_access s hook ~gap ~cost:timing.Timing.scratchpad_cycles
-          end
-          else if in_region t.uncached addr then begin
-            incr region_n;
-            region_access s hook ~gap ~cost:timing.Timing.uncached_cycles
-          end
-          else begin
-            let tint = lookup s tlb page in
-            cached_access t s hook ~addr ~kind ~gap ~tlb_missed:s.tlb_missed
-              ~mask:(find_tint s tint_table tint 0)
-              ~stream:(is_stream t ~streaming tint)
-          end
+      if where <= 2 then begin
+        if where = 0 then begin
+          incr tlb_hits;
+          tlb_missed := false
         end
         else begin
-          (* memo miss on a pure page: the real lookup, then install the
-             page in the memo *)
-          let tint = lookup s tlb page in
-          let mask = find_tint s tint_table tint 0 in
-          let stream = is_stream t ~streaming tint in
-          memoize s j ~page ~i ~mask ~stream;
-          cached_access t s hook ~addr ~kind ~gap ~tlb_missed:s.tlb_missed
-            ~mask ~stream
+          let r = Cache.Lru_set.touch_slot tlb_lru page in
+          let tint =
+            if r >= 0 then begin
+              incr tlb_hits;
+              tlb_missed := false;
+              Array.unsafe_get tlb_tints r
+            end
+            else begin
+              incr tlb_misses;
+              tlb_missed := true;
+              let tint =
+                if tinted then Vm.Page_table.tint_of_page page_table page
+                else default_tint
+              in
+              Array.unsafe_set tlb_tints (-1 - r) tint;
+              tint
+            end
+          in
+          if tint != !cur_tint then begin
+            let mask = find_tint t tint_table tint 0 in
+            let cand = (mask :> int) land full in
+            if cand = 0 then Sassoc.require_mask cache mask;
+            cur_tint := tint;
+            cur_mask := mask;
+            cur_cand := cand;
+            cur_stream := streaming && Hashtbl.mem t.streaming_tints tint
+          end;
+          cur_page := if where = 1 then page else -1
+        end;
+        let phys =
+          match frame_map with
+          | None -> addr
+          | Some fm -> Vm.Frame_map.translate fm addr
+        in
+        let line = phys lsr line_shift in
+        let tlb_cost = if !tlb_missed then tlb_miss_penalty else 0 in
+        (match hook with
+        | Blocking -> extra := !extra + tlb_cost
+        | Events { engine; _ } -> Event.elapse engine (gap + tlb_cost));
+        (* the outcome as [Sassoc.access_masked] codes it: 0 hit, 1 miss,
+           3 miss with a writeback *)
+        let code =
+          if inline then begin
+            incr probes;
+            let set = line land set_mask in
+            let tag = line lsr tag_shift in
+            let base = set * ways in
+            let write = Bigarray.Array1.unsafe_get kinds i = write_byte in
+            let pw = Array.unsafe_get pred set in
+            let way =
+              if Array.unsafe_get tags (base + pw) = tag then pw
+              else scan_ways tags ~base ~ways tag 0
+            in
+            if way >= 0 then begin
+              if way <> pw then Array.unsafe_set pred set way;
+              incr clock;
+              Array.unsafe_set stamps (base + way) !clock;
+              if write then Bytes.unsafe_set dirty (base + way) '\001';
+              0
+            end
+            else begin
+              incr misses;
+              let vm = Array.unsafe_get vmask set in
+              let cand = !cur_cand in
+              let empties = cand land lnot vm in
+              let way =
+                if empties <> 0 then lowest_bit empties 0
+                else begin
+                  (* the smallest stamp among the mask's ways, the highest
+                     way on a tie: a way outside the mask reads as
+                     [max_int], and [d asr 62] is -1 exactly when [d] is
+                     negative *)
+                  let best = ref (-1) and best_stamp = ref max_int in
+                  for w = ways - 1 downto 0 do
+                    let stamp =
+                      Array.unsafe_get stamps (base + w)
+                      lor ((((cand lsr w) land 1) - 1) land max_int)
+                    in
+                    let d = stamp - !best_stamp in
+                    let m = d asr 62 in
+                    best := !best lxor ((!best lxor w) land m);
+                    best_stamp := !best_stamp + (d land m)
+                  done;
+                  !best
+                end
+              in
+              let s = base + way in
+              let wb =
+                if vm land (1 lsl way) <> 0 then begin
+                  let old = (Array.unsafe_get tags s lsl tag_shift) lor set in
+                  incr evictions;
+                  evicted := old;
+                  if Bytes.unsafe_get dirty s = '\001' then begin
+                    incr writebacks;
+                    written_back := old;
+                    2
+                  end
+                  else begin
+                    written_back := -1;
+                    0
+                  end
+                end
+                else begin
+                  evicted := -1;
+                  written_back := -1;
+                  0
+                end
+              in
+              Array.unsafe_set tags s tag;
+              Array.unsafe_set vmask set (vm lor (1 lsl way));
+              Array.unsafe_set pred set way;
+              Bytes.unsafe_set dirty s (if write then '\001' else '\000');
+              incr clock;
+              Array.unsafe_set stamps s !clock;
+              Array.unsafe_set fills way (Array.unsafe_get fills way + 1);
+              1 lor wb
+            end
+          end
+          else
+            Sassoc.access_masked cache ~mask:!cur_mask
+              ~kind:(Memtrace.Packed.kind_at kinds i) phys
+        in
+        if code = 0 then begin
+          let retire =
+            match hook with
+            | Blocking -> 0
+            | Events { engine; inject_merge_bug = false } ->
+                Event.hit engine ~line
+            | Events { engine; inject_merge_bug = true } ->
+                let merges = Event.merges engine in
+                let retire = Event.hit engine ~line in
+                (* The planted [--inject-bug event] mutation: the buggy
+                   merge path replays the merged request against the cache
+                   when its fill lands, as if the MSHR had not recorded the
+                   first reference — the second lookup double-counts the
+                   access. *)
+                if Event.merges engine > merges then
+                  ignore
+                    (Sassoc.access_masked cache ~mask:!cur_mask
+                       ~kind:(Memtrace.Packed.kind_at kinds i) phys
+                      : int);
+                retire
+          in
+          (* the first use of a prefetched line fetches the next one *)
+          if
+            Hashtbl.length t.prefetch_tagged > 0
+            && Hashtbl.mem t.prefetch_tagged line
+          then begin
+            Hashtbl.remove t.prefetch_tagged line;
+            if
+              !cur_stream
+              && prefetch_next t hook ~line_shift ~addr ~mask:!cur_mask
+            then incr prefetches
+          end;
+          retire
         end
+        else begin
+          (* the line comes from L2 when one is configured and holds it *)
+          let l2_hit =
+            match t.l2 with
+            | None -> false
+            | Some l2 ->
+                let kind = Memtrace.Packed.kind_at kinds i in
+                if Sassoc.access_coded l2 ~kind phys land 1 = 0 then begin
+                  incr l2_hits;
+                  true
+                end
+                else begin
+                  incr l2_misses;
+                  false
+                end
+          in
+          let retire =
+            match hook with
+            | Blocking ->
+                extra :=
+                  !extra
+                  + (if l2_hit then timing.Timing.l2_hit_cycles
+                     else timing.Timing.miss_penalty)
+                  + if code land 2 <> 0 then timing.Timing.writeback_penalty
+                    else 0;
+                0
+            | Events { engine; _ } ->
+                let victim =
+                  if code land 2 <> 0 then
+                    (if inline then !written_back
+                     else Sassoc.writeback_line cache)
+                    * line_size
+                  else -1
+                in
+                Event.miss engine ~line ~addr:phys ~victim ~l2_hit
+          in
+          if !cur_stream && prefetch_next t hook ~line_shift ~addr ~mask:!cur_mask
+          then incr prefetches;
+          retire
+        end
+      end
+      else begin
+        (* a scratchpad or uncached access: it bypasses cache and TLB *)
+        incr region_n;
+        let cost =
+          if where = 3 then begin
+            incr scratchpad_n;
+            timing.Timing.scratchpad_cycles
+          end
+          else timing.Timing.uncached_cycles
+        in
+        match hook with
+        | Blocking ->
+            extra := !extra + cost;
+            0
+        | Events { engine; _ } ->
+            Event.elapse engine (gap + cost);
+            Event.now engine
       end
     in
     if !win_last >= 0 then begin
@@ -674,8 +702,8 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
         let latency =
           match hook with
           | Blocking ->
-              blocking_clock s ~hit_cycles ~gap_sum:!gap_sum
-                ~region_n:!region_n (i + 1 - pos)
+              blocking_clock ~hit_cycles ~gap_sum:!gap_sum ~region_n:!region_n
+                ~extra:!extra (i + 1 - pos)
               - !win_open
           | Events _ -> !win_retire - !win_open
         in
@@ -687,20 +715,31 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
       end
     end
   done;
-  flush_touches s tlb;
+  if inline then begin
+    stats.accesses <- stats.accesses + !probes;
+    stats.hits <- stats.hits + (!probes - !misses);
+    stats.misses <- stats.misses + !misses;
+    stats.evictions <- stats.evictions + !evictions;
+    stats.writebacks <- stats.writebacks + !writebacks;
+    Sassoc.set_clock cache !clock;
+    if !misses > 0 then
+      Sassoc.set_last_install cache ~evicted:!evicted ~writeback:!written_back
+  end;
+  Vm.Tlb.note_hits tlb !tlb_hits;
+  Vm.Tlb.note_misses tlb !tlb_misses;
   let n = stop - pos in
   t.instructions <- t.instructions + !gap_sum + n;
   t.memory_accesses <- t.memory_accesses + n;
   t.scratchpad_accesses <- t.scratchpad_accesses + !scratchpad_n;
-  t.l2_hits <- t.l2_hits + s.l2_hits;
-  t.l2_misses <- t.l2_misses + s.l2_misses;
-  t.prefetches <- t.prefetches + s.prefetches;
-  Vm.Tlb.note_hits tlb !memo_hits;
+  t.l2_hits <- t.l2_hits + !l2_hits;
+  t.l2_misses <- t.l2_misses + !l2_misses;
+  t.prefetches <- t.prefetches + !prefetches;
   match hook with
   | Blocking ->
       t.cycles <-
         t.cycles
-        + blocking_clock s ~hit_cycles ~gap_sum:!gap_sum ~region_n:!region_n n
+        + blocking_clock ~hit_cycles ~gap_sum:!gap_sum ~region_n:!region_n
+            ~extra:!extra n
   | Events { engine; _ } ->
       (* fold the drained clock and the MSHR/DRAM counters into [t] so run
          deltas pick them up like any other counter *)

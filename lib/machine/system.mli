@@ -101,9 +101,10 @@ val run : t -> Memtrace.Trace.t -> Run_stats.t
 (** {2 Packed replays}
 
     Every packed replay below is one pass of the same batched loop. It
-    keeps every counter in local ints, resolves each page's (mask, tint)
-    once and memoizes it, so the TLB and tint table are consulted only on
-    page crossings, and allocates nothing per access. Two timing hooks
+    keeps every counter in local ints, consults the TLB and the tint table
+    only on page changes, probes an LRU cache that does not classify
+    misses itself, over the cache's own state, and allocates nothing per
+    access. Two timing hooks
     price the accesses — the blocking arithmetic of {!access}, or the
     event core ({!Event}) — and an optional observer records per-request
     latencies over request windows. Scratchpad and uncached regions,
@@ -163,9 +164,9 @@ val replay_range : t -> Memtrace.Packed.t -> pos:int -> stop:int -> int
     machine. No {!Run_stats} snapshot is taken and pending {!charge_cycles}
     setup stays pending, as with {!access}; read counters through {!total}
     or {!Cache.Sassoc.stats}. This is the round-robin scheduler's per-slice
-    entry: the loop's storage is allocated once per system, and every call
-    starts from an empty page memo and leaves no deferred TLB work behind,
-    so the caller may flush the TLB or re-tint pages between calls. Raises
+    entry: a call allocates nothing, and nothing the loop remembers
+    outlives it, so the caller may flush the TLB or re-tint pages between
+    calls. Raises
     [Invalid_argument] when the range falls outside the trace, or, before
     any state changes, when one of its kind bytes is not 0–2. *)
 

@@ -25,30 +25,37 @@ val lookup : t -> int -> Tint.t * outcome
 val lookup_page_quick : t -> int -> Tint.t
 (** Exactly {!lookup_page} — same counters, same LRU update, same
     page-table walk on a miss — but allocation-free: only the tint is
-    returned, and the outcome is observable as a delta on {!misses}. The
-    machine's batched replay loop uses this on page crossings;
+    returned, and the outcome is observable as a delta on {!misses}.
     {!lookup_page} wraps it. Pages are non-negative. *)
-
-val last_lookup : t -> int
-(** What the most recent lookup did, in {!Cache.Lru_set.touch}'s terms:
-    {!Cache.Lru_set.hit}, {!Cache.Lru_set.inserted} for a miss into a free
-    entry, or else the page the miss evicted. The batched replay reads the
-    miss and invalidates its page memo from this one int. *)
 
 val note_hits : t -> int -> unit
 (** Credit [n] TLB hits without performing lookups. Only sound for lookups
-    that are guaranteed to hit, whose LRU touches are either identities
-    (repeated references to the most-recently-used page) or replayed
-    separately via {!touch_resident} — the batched replay path uses it for
-    its memoized-page hits. Negative counts are rejected. *)
+    that are guaranteed to hit and whose LRU touches are identities
+    (repeated references to the most-recently-used page), or whose touches
+    the caller made itself through {!lru}. Negative counts are rejected. *)
 
-val touch_resident : t -> int -> unit
-(** Re-apply the LRU touch of a page that is guaranteed resident, without
-    touching the hit/miss counters. A run of guaranteed hits only reorders
-    the touched entries to the front of the LRU, so the batched replay can
-    defer the touches of its memoized pages and replay them — one per page,
-    oldest last-use first — right before the next real lookup, reproducing
-    the exact LRU state the per-access path would have built. *)
+val note_misses : t -> int -> unit
+(** Credit [n] TLB misses whose lookups the caller made itself through
+    {!lru} and {!tints}. Negative counts are rejected. *)
+
+(** {2 Hot-path state}
+
+    Raw views of the entry store, consumed only by the machine's batched
+    replay loop, which makes its lookups itself instead of calling
+    {!lookup_page_quick} once per page change: [Cache.Lru_set.touch_slot]
+    on {!lru}, the tint of a hit read from {!tints} at the touched slot,
+    and on a miss the page table's tint written there. The counters it
+    credits afterwards through {!note_hits} and {!note_misses}. The
+    contract — the same touch, slot contents and counts as
+    {!lookup_page_quick} — is pinned by the machine differentials. Other
+    code must not touch these. *)
+
+val lru : t -> Cache.Lru_set.t
+(** The LRU set of resident pages. *)
+
+val tints : t -> Tint.t array
+(** Per LRU slot: the tint of the page resident in it, as the page table
+    held it when the page was loaded. *)
 
 val flush : t -> unit
 val flush_page : t -> int -> bool

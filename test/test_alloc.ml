@@ -57,8 +57,8 @@ let test_tlb_miss () =
   check_no_alloc "miss" (fun () ->
       incr page;
       lookup t !page);
-  Alcotest.(check int) "nothing evicted" Cache.Lru_set.inserted
-    (Tlb.last_lookup t)
+  Alcotest.(check int) "nothing evicted" (Tlb.misses t)
+    (List.length (Tlb.resident_pages t))
 
 let test_tlb_miss_evicts () =
   (* five pages cycling through four entries: each call evicts *)
@@ -72,7 +72,8 @@ let test_tlb_miss_evicts () =
     next ()
   done;
   check_no_alloc "miss with eviction" next;
-  Alcotest.(check bool) "the last call evicted" true (Tlb.last_lookup t >= 0)
+  Alcotest.(check bool) "every call evicted" true
+    (Tlb.hits t = 0 && Tlb.misses t > 4 && List.length (Tlb.resident_pages t) = 4)
 
 let test_tlb_after_flush_page () =
   let t = tlb ~tinted:true 4 in

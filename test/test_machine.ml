@@ -570,6 +570,159 @@ let test_corrupt_kind_rejected () =
         fun sys p -> System.run_packed_requests_events sys ~events p ~requests );
     ]
 
+(* --- the batched and scalar paths interleaved on one system ---
+   The batched loop writes the cache's stamps, clock and last displaced
+   lines and the TLB's order itself, and later scalar accesses read them.
+   One system takes a random mix of scalar accesses, packed replays, range
+   slices and reconfigurations; its twin takes only scalar accesses. After
+   every step the two must agree on every counter, every set's lines, the
+   last written-back line, the TLB's order and the reconfiguration costs. *)
+
+type feature = Plain | L2 | Stream | Scratchpad | Uncached | Frames | All
+
+let interleave_features = [| Plain; L2; Stream; Scratchpad; Uncached; Frames; All |]
+let interleave_policies = Cache.Policy.[| Lru; Fifo; Bit_plru; Random 5 |]
+
+(* Case [case] covers policy [case mod 4], classification [case / 4 mod 2]
+   and feature [case / 8 mod 7]; the rest is drawn from its own seed. *)
+let interleave_case case =
+  let rng = Random.State.make [| 0x5eed; case |] in
+  let int n = Random.State.int rng n in
+  let feature = interleave_features.(case / 8 mod 7) in
+  let ways = 1 + int 5 in
+  let cache =
+    {
+      Sassoc.line_size = 16;
+      sets = 1 lsl (1 + int 3);
+      ways;
+      policy = interleave_policies.(case mod 4);
+      classify = case / 4 mod 2 = 1;
+    }
+  in
+  let page_size = [| 64; 128; 256 |].(int 3) in
+  let span = 8 * page_size in
+  let l2 =
+    match feature with
+    | L2 | All -> Some (Sassoc.config ~size_bytes:1024 ~ways:2 ())
+    | Plain | Stream | Scratchpad | Uncached | Frames -> None
+  in
+  let cfg = System.config ~page_size ~tlb_entries:(1 + int 5) ?l2 cache in
+  let tints = [| Vm.Tint.default; Vm.Tint.make "blue"; Vm.Tint.make "green" |] in
+  let stream = tints.(int 2) in
+  let has f = feature = f || feature = All in
+  let mk () =
+    let sys = System.create cfg in
+    if has Stream then System.set_streaming sys stream;
+    (* regions that cover parts of pages, so some pages mix region and
+       cached accesses *)
+    if has Scratchpad then
+      System.add_scratchpad sys ~base:(page_size + 32) ~size:page_size;
+    if has Uncached then
+      System.add_uncached sys ~base:((4 * page_size) - 16) ~size:48;
+    if has Frames then begin
+      let fm = Vm.Frame_map.create ~page_size in
+      Vm.Frame_map.map_page fm ~page:0 ~frame:6;
+      Vm.Frame_map.map_page fm ~page:6 ~frame:0;
+      System.set_frame_map sys fm
+    end;
+    sys
+  in
+  let mixed = mk () and scalar = mk () in
+  let access () =
+    let kind =
+      match int 4 with 0 -> Access.Write | 1 -> Access.Ifetch | _ -> Access.Read
+    in
+    Access.make ~kind ~gap:(int 3) (int span)
+  in
+  let accesses () = List.init (1 + int 40) (fun _ -> access ()) in
+  let on_both f =
+    f mixed;
+    f scalar
+  in
+  let check step what =
+    let fail fmt =
+      Alcotest.failf ("case %d, step %d (%s): " ^^ fmt) case step what
+    in
+    if System.total mixed <> System.total scalar then
+      fail "totals differ:@ %a@ against@ %a" Run_stats.pp (System.total mixed)
+        Run_stats.pp (System.total scalar);
+    let c = System.cache mixed and c' = System.cache scalar in
+    for set = 0 to cache.Sassoc.sets - 1 do
+      if Sassoc.lines_in_set c set <> Sassoc.lines_in_set c' set then
+        fail "set %d holds different lines" set
+    done;
+    if Sassoc.writeback_line c <> Sassoc.writeback_line c' then
+      fail "last written-back line %d, against %d" (Sassoc.writeback_line c)
+        (Sassoc.writeback_line c');
+    let tlb sys = Vm.Tlb.resident_pages (Vm.Mapping.tlb (System.mapping sys)) in
+    if tlb mixed <> tlb scalar then fail "TLB orders differ";
+    if Vm.Mapping.cost (System.mapping mixed) <> Vm.Mapping.cost (System.mapping scalar)
+    then fail "reconfiguration costs differ"
+  in
+  for step = 0 to 39 do
+    let what =
+      match int 10 with
+      | 0 | 1 ->
+          let a = access () in
+          on_both (fun sys -> ignore (System.access sys a));
+          "access"
+      | 2 | 3 ->
+          let l = accesses () in
+          ignore (System.run_packed mixed (Memtrace.Packed.of_list l));
+          List.iter (fun a -> ignore (System.access scalar a)) l;
+          "run_packed"
+      | 4 ->
+          let l = accesses () in
+          let n = List.length l in
+          let requests = if n < 2 then [||] else [| (0, n / 2); (n / 2, n) |] in
+          ignore
+            (System.run_packed_requests mixed (Memtrace.Packed.of_list l) ~requests);
+          List.iter (fun a -> ignore (System.access scalar a)) l;
+          "run_packed_requests"
+      | 5 | 6 ->
+          let l = accesses () in
+          let p = Memtrace.Packed.of_list l in
+          let n = List.length l in
+          let pos = ref 0 in
+          while !pos < n do
+            let stop = min n (!pos + 1 + int 8) in
+            ignore (System.replay_range mixed p ~pos:!pos ~stop : int);
+            pos := stop
+          done;
+          List.iter (fun a -> ignore (System.access scalar a)) l;
+          "replay_range"
+      | 7 ->
+          if int 2 = 0 then begin
+            on_both System.flush_tlb;
+            "flush_tlb"
+          end
+          else begin
+            on_both System.flush_cache;
+            "flush_cache"
+          end
+      | 8 ->
+          let base = int span and size = 1 + int (2 * page_size) in
+          let tint = tints.(int 3) in
+          on_both (fun sys ->
+              ignore (Vm.Mapping.retint_region (System.mapping sys) ~base ~size tint));
+          "retint"
+      | _ ->
+          let tint = tints.(int 3) in
+          let bits = int (1 lsl ways) in
+          let mask =
+            if bits = 0 then Bitmask.singleton (int ways) else Bitmask.of_bits bits
+          in
+          on_both (fun sys -> Vm.Mapping.remap_tint (System.mapping sys) tint mask);
+          "remap"
+    in
+    check step what
+  done
+
+let test_interleaved_paths () =
+  for case = 0 to (4 * 2 * 7 * 4) - 1 do
+    interleave_case case
+  done
+
 let suites =
   [
     ( "machine.system",
@@ -623,5 +776,10 @@ let suites =
           test_request_windows_match_scalar;
         Alcotest.test_case "corrupt kind byte rejected" `Quick
           test_corrupt_kind_rejected;
+      ] );
+    ( "machine.interleave",
+      [
+        Alcotest.test_case "batched and scalar on one system" `Quick
+          test_interleaved_paths;
       ] );
   ]

@@ -2,7 +2,7 @@
 let () =
   Alcotest.run "colcache"
     (Test_memtrace.suites @ Test_cache.suites @ Test_vm.suites
-   @ Test_machine.suites @ Test_profile.suites @ Test_ir.suites @ Test_interp.suites
+   @ Test_machine.suites @ Test_replay_pins.suites @ Test_profile.suites @ Test_ir.suites @ Test_interp.suites
    @ Test_coloring.suites @ Test_workloads.suites @ Test_sched.suites
    @ Test_layout.suites @ Test_dynamic.suites @ Test_optimize.suites @ Test_parse.suites @ Test_pipeline.suites
    @ Test_differential.suites @ Test_policy_ref.suites @ Test_stack_dist.suites

@@ -423,6 +423,32 @@ let test_packed_handover_immutable () =
   check_bool "and holds the earlier accesses" true
     (List.equal Access.equal before (Packed.to_list (Packed.sub q ~pos:0 ~len:4)))
 
+(* A builder with room to spare: pushes after [build] go on filling its
+   columns and then grow them, and must leave the built trace as it was. *)
+let test_packed_prefix_immutable () =
+  let b = Packed.Builder.create ~initial_capacity:8 () in
+  let v = Packed.Builder.var b "v" in
+  for i = 0 to 2 do
+    Packed.Builder.push b ~kind:Access.Write ~var:v ~gap:i (i * 16)
+  done;
+  let p = Packed.Builder.build b in
+  let before = Packed.to_list p in
+  let pushes = [ 5; 20 ] in
+  List.iter
+    (fun n ->
+      for i = 1 to n do
+        Packed.Builder.push b ~kind:Access.Ifetch ~var:Packed.Builder.untagged
+          ~gap:3 (0x1000 + i)
+      done;
+      check_int "built trace keeps its length" 3 (Packed.length p);
+      check_bool "built trace keeps its accesses" true
+        (List.equal Access.equal before (Packed.to_list p)))
+    pushes;
+  let q = Packed.Builder.build b in
+  check_int "the builder kept every push" 28 (Packed.length q);
+  check_bool "and the built accesses first" true
+    (List.equal Access.equal before (Packed.to_list (Packed.sub q ~pos:0 ~len:3)))
+
 (* Handles resolved ahead of use, in an order unlike the accesses': the
    var table still lists names in order of first access, and a resolved
    name that no access uses stays out of it. *)
@@ -510,6 +536,8 @@ let suites =
           test_packed_var_interning;
         Alcotest.test_case "build hands over a full builder" `Quick
           test_packed_handover_immutable;
+        Alcotest.test_case "build hands over a prefix" `Quick
+          test_packed_prefix_immutable;
         Alcotest.test_case "tags resolved ahead of use" `Quick
           test_packed_resolve_ahead;
       ] );
