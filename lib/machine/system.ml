@@ -22,6 +22,62 @@ type region = {
 
 let tint_cache_size = 8
 
+let log2 n =
+  let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
+  loop n 0
+
+(* What the batched replay loop reads and writes of the cache and the TLB,
+   resolved once per system so a replay call, however short, starts with
+   field loads rather than calls: cache flushes, TLB flushes and statistics
+   resets all work in place, so none of these changes identity. *)
+type views = {
+  tags : int array;
+  vmask : int array;
+  pred : int array;
+  dirty : Bytes.t;
+  (* the LRU stamps when the cache is one the loop probes itself (LRU, no
+     miss classification); [[||]] otherwise *)
+  stamps : int array;
+  lru_inline : bool;
+  stats : Cache.Stats.t;
+  tlb : Vm.Tlb.t;
+  tlb_lru : Cache.Lru_set.t;
+  tlb_tints : Vm.Tint.t array;
+  page_table : Vm.Page_table.t;
+  tint_table : Vm.Tint_table.t;
+  page_shift : int;
+  line_shift : int;
+  set_mask : int;
+  tag_shift : int;
+  full : int;  (* the mask of every way *)
+  write_byte : char;  (* a write's kind byte in a packed trace *)
+}
+
+let views cfg cache mapping =
+  let geo = cfg.cache in
+  let stamps = Sassoc.lru_stamps cache in
+  let tlb = Vm.Mapping.tlb mapping in
+  {
+    tags = Sassoc.raw_tags cache;
+    vmask = Sassoc.raw_valid cache;
+    pred = Sassoc.raw_pred cache;
+    dirty = Sassoc.raw_dirty cache;
+    stamps = Option.value stamps ~default:[||];
+    lru_inline = Option.is_some stamps;
+    stats = Sassoc.stats cache;
+    tlb;
+    tlb_lru = Vm.Tlb.lru tlb;
+    tlb_tints = Vm.Tlb.tints tlb;
+    page_table = Vm.Mapping.page_table mapping;
+    tint_table = Vm.Mapping.tint_table mapping;
+    page_shift = log2 cfg.page_size;
+    line_shift = log2 geo.Sassoc.line_size;
+    set_mask = geo.Sassoc.sets - 1;
+    tag_shift = log2 geo.Sassoc.sets;
+    full = (Bitmask.full ~n:geo.Sassoc.ways :> int);
+    write_byte = Char.chr (Memtrace.Packed.kind_code Access.Write);
+  }
+
 type t = {
   cfg : config;
   cache : Sassoc.t;
@@ -52,21 +108,25 @@ type t = {
   tint_keys : Vm.Tint.t array;
   tint_masks : Bitmask.t array;
   mutable tints_n : int;
+  views : views;
 }
 
-let create cfg =
+let create (cfg : config) =
+  let cache = Sassoc.create cfg.cache in
+  let mapping =
+    Vm.Mapping.create ~tlb_entries:cfg.tlb_entries ~page_size:cfg.page_size
+      ~columns:cfg.cache.Sassoc.ways ()
+  in
   {
     cfg;
-    cache = Sassoc.create cfg.cache;
+    cache;
     l2 = Option.map Sassoc.create cfg.l2;
     l2_hits = 0;
     l2_misses = 0;
     prefetches = 0;
     streaming_tints = Hashtbl.create 4;
     prefetch_tagged = Hashtbl.create 64;
-    mapping =
-      Vm.Mapping.create ~tlb_entries:cfg.tlb_entries ~page_size:cfg.page_size
-        ~columns:cfg.cache.Sassoc.ways ();
+    mapping;
     scratchpads = [];
     uncached = [];
     frame_map = None;
@@ -82,6 +142,7 @@ let create cfg =
     tint_keys = Array.make tint_cache_size Vm.Tint.default;
     tint_masks = Array.make tint_cache_size Bitmask.empty;
     tints_n = 0;
+    views = views cfg cache mapping;
   }
 
 let mapping t = t.mapping
@@ -250,10 +311,6 @@ let snapshot t =
     requests = Latency.empty;
   }
 
-let log2 n =
-  let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
-  loop n 0
-
 (* Whether any region overlaps the [size]-byte page at [base]. *)
 let rec region_overlaps regions ~base ~size =
   match regions with
@@ -338,7 +395,7 @@ let no_tint = Vm.Tint.make (String.make 1 '\000')
      repeated page is credited as a hit with no lookup at all. A page
      change makes one [Lru_set.touch_slot] on the TLB's entry set: a hit
      reads the tint the TLB keeps in the entry's slot, a miss walks the
-     page table (unless nothing is tinted) and stores the tint there —
+     page table and stores the tint there —
      [Tlb.lookup_page_quick] step for step. A tint change looks its mask up
      in a small per-replay cache and checks it once.
    - Cache. An LRU cache that does not classify misses is probed in the
@@ -362,8 +419,9 @@ let no_tint = Vm.Tint.make (String.make 1 '\000')
    membership per address, and their cached accesses always make a real
    lookup. Nothing the loop remembers survives it: between two replays the
    caller may flush the TLB, re-tint pages or remap tints, so a replay of a
-   handful of accesses — a round-robin slice — starts from scratch at the
-   cost of a few local initializations.
+   handful of accesses — a round-robin slice — starts from scratch. What
+   does survive is fixed per system ([views]), so that start costs field
+   loads, the clock read and the landing calls, and allocates nothing.
 
    [requests] are validated (start, stop) spans. A window opens at its
    first access and closes after its last: under [Blocking] its latency is
@@ -373,46 +431,39 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
   let addrs = Memtrace.Packed.raw_addrs p in
   let gaps = Memtrace.Packed.raw_gaps p in
   let kinds = Memtrace.Packed.raw_kinds p in
-  let write_byte = Char.chr (Memtrace.Packed.kind_code Access.Write) in
+  let v = t.views in
+  let write_byte = v.write_byte in
   let timing = t.cfg.timing in
   let hit_cycles = timing.Timing.hit_cycles in
   let tlb_miss_penalty = timing.Timing.tlb_miss_penalty in
   let page_size = t.cfg.page_size in
-  let page_shift = log2 page_size in
-  let geo = t.cfg.cache in
-  let line_size = geo.Sassoc.line_size in
-  let line_shift = log2 line_size in
-  let ways = geo.Sassoc.ways in
-  let set_mask = geo.Sassoc.sets - 1 in
-  let tag_shift = log2 geo.Sassoc.sets in
-  let full = (Bitmask.full ~n:ways :> int) in
+  let page_shift = v.page_shift in
+  let line_size = t.cfg.cache.Sassoc.line_size in
+  let line_shift = v.line_shift in
+  let ways = t.cfg.cache.Sassoc.ways in
+  let set_mask = v.set_mask and tag_shift = v.tag_shift and full = v.full in
   let cache = t.cache in
-  let stats = Sassoc.stats cache in
+  let stats = v.stats in
   let fills = stats.Cache.Stats.fills_per_way in
-  let tags = Sassoc.raw_tags cache in
-  let vmask = Sassoc.raw_valid cache in
-  let pred = Sassoc.raw_pred cache in
-  let dirty = Sassoc.raw_dirty cache in
-  let tlb = Vm.Mapping.tlb t.mapping in
-  let tlb_lru = Vm.Tlb.lru tlb in
-  let tlb_tints = Vm.Tlb.tints tlb in
-  let page_table = Vm.Mapping.page_table t.mapping in
-  let tinted = Vm.Page_table.entries page_table > 0 in
-  let default_tint = Vm.Page_table.default_tint page_table in
-  let tint_table = Vm.Mapping.tint_table t.mapping in
+  let tags = v.tags and vmask = v.vmask and pred = v.pred in
+  let dirty = v.dirty and stamps = v.stamps in
+  let tlb_lru = v.tlb_lru and tlb_tints = v.tlb_tints in
+  let page_table = v.page_table and tint_table = v.tint_table in
   t.tints_n <- 0;
   let streaming = Hashtbl.length t.streaming_tints > 0 in
   let regions = t.scratchpads != [] || t.uncached != [] in
   let frame_map = t.frame_map in
-  (* the inline probe's stamps; [[||]] on the generic path *)
-  let stamps =
+  (* a streaming tint's prefetches and the event drill's repeated access
+     call into the cache from inside the loop, so those replays take the
+     generic path throughout *)
+  let inline =
+    v.lru_inline && (not streaming)
+    &&
     match hook with
-    | Events { inject_merge_bug = true; _ } -> None
-    | Blocking | Events _ -> if streaming then None else Sassoc.lru_stamps cache
+    | Events { inject_merge_bug = true; _ } -> false
+    | Blocking | Events _ -> true
   in
-  let inline = Option.is_some stamps in
-  let stamps = Option.value stamps ~default:[||] in
-  let clock = ref (Sassoc.clock cache) in
+  let clock = ref (if inline then Sassoc.clock cache else 0) in
   (* local counters, landed after the loop *)
   let gap_sum = ref 0 in
   let region_n = ref 0 in
@@ -490,10 +541,7 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
             else begin
               incr tlb_misses;
               tlb_missed := true;
-              let tint =
-                if tinted then Vm.Page_table.tint_of_page page_table page
-                else default_tint
-              in
+              let tint = Vm.Page_table.tint_of_page page_table page in
               Array.unsafe_set tlb_tints (-1 - r) tint;
               tint
             end
@@ -725,8 +773,8 @@ let replay_loop t ~hook ~requests ~lat ~pos ~stop (p : Memtrace.Packed.t) =
     if !misses > 0 then
       Sassoc.set_last_install cache ~evicted:!evicted ~writeback:!written_back
   end;
-  Vm.Tlb.note_hits tlb !tlb_hits;
-  Vm.Tlb.note_misses tlb !tlb_misses;
+  Vm.Tlb.note_hits v.tlb !tlb_hits;
+  Vm.Tlb.note_misses v.tlb !tlb_misses;
   let n = stop - pos in
   t.instructions <- t.instructions + !gap_sum + n;
   t.memory_accesses <- t.memory_accesses + n;

@@ -13,7 +13,6 @@ let create ?(default_tint = Tint.default) ~page_size () =
   { page_size; default_tint; entries = Hashtbl.create 64; pte_writes = 0 }
 
 let page_size t = t.page_size
-let default_tint t = t.default_tint
 let page_of_addr t addr = addr / t.page_size
 let base_of_page t page = page * t.page_size
 

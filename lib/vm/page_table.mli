@@ -11,10 +11,6 @@ val create : ?default_tint:Tint.t -> page_size:int -> unit -> t
 (** [page_size] must be a power of two. *)
 
 val page_size : t -> int
-
-val default_tint : t -> Tint.t
-(** The tint of every page never explicitly tinted. *)
-
 val page_of_addr : t -> int -> int
 val base_of_page : t -> int -> int
 

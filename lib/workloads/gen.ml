@@ -195,15 +195,7 @@ let kv ?(perturb = false) ?(base = 0) ?(theta = 0.99) ~seed ~requests:n_req
   let chain = Array.map (fun len -> Array.make len 0) chain_len in
   Array.iteri (fun k p -> chain.(bucket_of.(k)).(p) <- k) chain_pos;
   let key_sampler = sampler rng ~perturb (Zipf { items = keys; theta }) in
-  (* A request makes at most 1 + longest chain + [value_lines] accesses, so
-     a builder of that many per request never grows; columns are created
-     uninitialized, so the tail no request reaches is never resident. *)
-  let longest_chain = Array.fold_left max 0 chain_len in
-  let b =
-    Packed.Builder.create
-      ~initial_capacity:(max 16 (n_req * (1 + longest_chain + value_lines)))
-      ()
-  in
+  let b = Packed.Builder.create ~initial_capacity:(max 16 (n_req * 4)) () in
   let kv_heads = Packed.Builder.var b "kv_heads" in
   let kv_entries = Packed.Builder.var b "kv_entries" in
   let kv_values = Packed.Builder.var b "kv_values" in

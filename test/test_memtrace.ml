@@ -423,8 +423,9 @@ let test_packed_handover_immutable () =
   check_bool "and holds the earlier accesses" true
     (List.equal Access.equal before (Packed.to_list (Packed.sub q ~pos:0 ~len:4)))
 
-(* A builder with room to spare: pushes after [build] go on filling its
-   columns and then grow them, and must leave the built trace as it was. *)
+(* A builder with room to spare: [build] copies its filled part, and
+   pushes after it, which go on filling the builder's columns and then
+   grow them, must leave the built trace as it was. *)
 let test_packed_prefix_immutable () =
   let b = Packed.Builder.create ~initial_capacity:8 () in
   let v = Packed.Builder.var b "v" in
@@ -536,7 +537,7 @@ let suites =
           test_packed_var_interning;
         Alcotest.test_case "build hands over a full builder" `Quick
           test_packed_handover_immutable;
-        Alcotest.test_case "build hands over a prefix" `Quick
+        Alcotest.test_case "build copies a partly filled builder" `Quick
           test_packed_prefix_immutable;
         Alcotest.test_case "tags resolved ahead of use" `Quick
           test_packed_resolve_ahead;
